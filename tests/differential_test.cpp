@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <tuple>
 
 #include "core/bqsr_accel.h"
@@ -122,13 +124,52 @@ TEST_P(DifferentialGoldenModel, BqsrTableMatchesSoftwareExactly)
         << " seed=" << seed_;
 }
 
+/** FNV-1a (64-bit) over a stat map's sorted "name=value" lines. */
+uint64_t
+statDigest(const std::map<std::string, uint64_t> &stats)
+{
+    uint64_t hash = 14695981039346656037ull;
+    for (const auto &[name, value] : stats) {
+        std::string line = name + "=" + std::to_string(value) + "\n";
+        for (unsigned char c : line) {
+            hash ^= c;
+            hash *= 1099511628211ull;
+        }
+    }
+    return hash;
+}
+
+/** Exact MarkDup totals of one grid point. */
+struct PinnedRun {
+    int64_t pairs;
+    uint64_t seed;
+    uint64_t totalCycles;
+    uint64_t statDigest;
+};
+
+/**
+ * Simulated cycles and stat digest of every grid point, so a drift in
+ * the scheduler's multi-lane (3- and 5-pipeline) results fails here
+ * rather than only in a downstream bench. Update these only for a
+ * deliberate change to the modeled hardware.
+ */
+constexpr PinnedRun kPinnedRuns[] = {
+    {60, 5, 19'224, 4707762294587321ull},
+    {60, 17, 19'829, 6815095692869401248ull},
+    {300, 5, 31'444, 13370586055922107439ull},
+    {300, 17, 32'658, 908425289161630154ull},
+    {700, 5, 45'551, 15587225018735256916ull},
+    {700, 17, 46'160, 10795923898056628353ull},
+};
+
 TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
 {
     // The active-set (sleep/wake) scheduler is a pure host-side
     // optimisation: simulated cycle counts and every merged simulator
     // statistic must be bit-identical with it disabled
     // (GENESIS_SIM_NO_SLEEP=1), and with the idle-cycle fast-forward
-    // disabled on top, across the whole size x seed grid.
+    // disabled on top, across the whole size x seed grid. The base run
+    // must also reproduce the grid point's pinned values exactly.
     auto run_once = [&] {
         auto reads = workload_.reads.reads;
         MarkDupAccelConfig cfg;
@@ -139,6 +180,16 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
     };
     auto base = run_once();
     EXPECT_GT(base.first, 0u);
+    const PinnedRun *pinned = nullptr;
+    for (const auto &run : kPinnedRuns) {
+        if (run.pairs == pairs_ && run.seed == seed_)
+            pinned = &run;
+    }
+    ASSERT_NE(pinned, nullptr) << "no pinned values for this grid point";
+    EXPECT_EQ(base.first, pinned->totalCycles)
+        << "pinned cycle drift, pairs=" << pairs_ << " seed=" << seed_;
+    EXPECT_EQ(statDigest(base.second), pinned->statDigest)
+        << "pinned stat drift, pairs=" << pairs_ << " seed=" << seed_;
     {
         ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
         auto no_sleep = run_once();
