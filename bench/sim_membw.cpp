@@ -30,11 +30,7 @@
  *
  * The main per-pattern JSON line reports both wall clocks and their
  * ratio ("evjump_speedup"); `--require-speedup X` exits non-zero when
- * the streaming pattern's ratio lands below X (the CI floor). A second
- * set of lines sweeps the channel-parallel memory tick
- * (setMemThreads 1/2/4) under the event-jump driver, asserting
- * bit-identity and reporting per-point wall clocks that
- * scripts/check_perf.py records as sim_membw.memthreads{N}.
+ * the streaming pattern's ratio lands below X (the CI floor).
  *
  * Each pattern issues the same byte volume through the same number of
  * ports, so bytes/cycle is directly comparable across rows. Output is
@@ -156,15 +152,13 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /**
  * Drive one pattern to completion.
  * @param event_jump skip proven-quiet spans with tickQuiet()
- * @param mem_threads channel-parallel tick budget (1 = sequential)
  */
 RunResult
 runOnce(Stream::Kind kind, uint64_t total_bytes, int num_ports,
-        bool event_jump, int mem_threads)
+        bool event_jump)
 {
     sim::MemoryConfig cfg;
     sim::MemorySystem mem(cfg);
-    mem.setMemThreads(mem_threads);
     std::vector<sim::MemoryPort *> ports;
     std::vector<Stream> streams;
     for (int p = 0; p < num_ports; ++p) {
@@ -234,9 +228,9 @@ runPattern(const char *name, Stream::Kind kind, uint64_t total_bytes,
            int num_ports, double *streaming_speedup)
 {
     RunResult ref =
-        runOnce(kind, total_bytes, num_ports, /*event_jump=*/false, 1);
+        runOnce(kind, total_bytes, num_ports, /*event_jump=*/false);
     RunResult jump =
-        runOnce(kind, total_bytes, num_ports, /*event_jump=*/true, 1);
+        runOnce(kind, total_bytes, num_ports, /*event_jump=*/true);
     assertIdentical(name, "event-jump driver", ref, jump);
 
     uint64_t ch_min = ~0ull, ch_max = 0;
@@ -284,28 +278,6 @@ runPattern(const char *name, Stream::Kind kind, uint64_t total_bytes,
     return std::string(line);
 }
 
-/** Sweep the channel-parallel tick on the streaming pattern. */
-void
-runMemThreadSweep(uint64_t total_bytes, int num_ports,
-                  std::vector<std::string> *lines)
-{
-    RunResult ref = runOnce(Stream::Kind::Streaming, total_bytes,
-                            num_ports, /*event_jump=*/true, 1);
-    for (int n : {1, 2, 4}) {
-        RunResult r = runOnce(Stream::Kind::Streaming, total_bytes,
-                              num_ports, /*event_jump=*/true, n);
-        assertIdentical("streaming", "mem-thread sweep", ref, r);
-        char line[256];
-        std::snprintf(
-            line, sizeof(line),
-            "{\"bench\": \"sim_membw\", \"pattern\": \"streaming\", "
-            "\"mem_threads\": %d, \"wall_seconds\": %.4f, "
-            "\"identical\": true}",
-            n, r.wallSeconds);
-        lines->push_back(line);
-    }
-}
-
 } // namespace
 
 int
@@ -343,7 +315,6 @@ main(int argc, char **argv)
                                total_bytes, kPorts, nullptr));
     lines.push_back(runPattern("gather", Stream::Kind::Gather,
                                total_bytes, kPorts, nullptr));
-    runMemThreadSweep(total_bytes, kPorts, &lines);
 
     for (const auto &line : lines)
         std::printf("%s\n", line.c_str());

@@ -1,38 +1,22 @@
 /**
  * @file
- * Concurrent multi-pipeline scaling bench (BatchRunner + lane-sharded
- * simulator).
+ * Concurrent multi-pipeline scaling bench (BatchRunner).
  *
- * Two sweeps over the bench read set's quality-sum pipeline (the Mark
- * Duplicates hardware portion, Figure 10), both reported in one JSON
- * array:
- *
- *  1. Lane sweep (records with a "lanes" key): shards the workload into
- *     a fixed number of shards and sweeps the number of concurrent
- *     BatchRunner pipeline slots: 1, 2, 4, 8. Session-level
- *     parallelism — each slot is its own AcceleratorSession on its own
- *     host thread.
- *  2. Thread sweep (records with a "threads" key): builds ONE session
- *     holding all shards as lanes of a single simulator and sweeps
- *     RuntimeConfig::simThreads — the lane-sharded parallel scheduler
- *     (sim/parallel.h). Reports speedup vs the 1-thread point, parallel
- *     efficiency (speedup / workers actually used), and a bit-identity
- *     verdict: per-read sums, total simulated cycles, and the full
- *     collectStats() signature must match the 1-thread run exactly
- *     (exit 1 on mismatch).
+ * Lane sweep over the bench read set's quality-sum pipeline (the Mark
+ * Duplicates hardware portion, Figure 10), reported as one JSON array:
+ * shards the workload into a fixed number of shards and sweeps the
+ * number of concurrent BatchRunner pipeline slots: 1, 2, 4, 8.
+ * Session-level parallelism — each slot is its own AcceleratorSession
+ * on its own host thread. Every point's per-read sums must match the
+ * 1-lane run exactly (exit 1 on mismatch).
  *
  * Wall-clock scaling requires host cores — the report includes
- * hardware_concurrency and workers_used so single-core results are
- * interpretable. GENESIS_SIM_THREADS overrides every thread-sweep
- * point, collapsing the sweep; unset it when benchmarking.
+ * hardware_concurrency so single-core results are interpretable.
  *
- * Scale the workload with GENESIS_BENCH_PAIRS. Override the thread
- * sweep with --threads N[,N...].
+ * Scale the workload with GENESIS_BENCH_PAIRS.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -128,115 +112,16 @@ runPoint(const bench::BenchWorkload &workload, int lanes,
         });
 }
 
-/** Everything a threaded sweep point must reproduce bit-for-bit. */
-struct ThreadedResult {
-    std::vector<int64_t> sums;
-    uint64_t cycles = 0;
-    /** Serialized name=value view of Simulator::collectStats(). */
-    std::string statsSig;
-    double wallSeconds = 0.0;
-    int workersUsed = 1;
-};
-
-/**
- * One thread-sweep point: all kShards pipelines as lanes of a single
- * session's simulator, run with `threads` requested workers.
- */
-ThreadedResult
-runThreadedPoint(const bench::BenchWorkload &workload, int threads)
-{
-    size_t n = workload.reads.size();
-    size_t per = (n + kShards - 1) / kShards;
-    std::vector<std::pair<size_t, size_t>> chunks;
-    for (size_t s = 0; s < kShards; ++s) {
-        size_t first = std::min(n, s * per);
-        size_t last = std::min(n, first + per);
-        if (first < last)
-            chunks.emplace_back(first, last);
-    }
-
-    runtime::RuntimeConfig cfg;
-    cfg.simThreads = threads;
-    runtime::AcceleratorSession session(cfg);
-    for (size_t shard = 0; shard < chunks.size(); ++shard) {
-        auto [first, last] = chunks[shard];
-        core::ReadColumns cols =
-            core::ReadColumns::fromRange(workload.reads, first, last);
-        buildQualSumPipeline(session, shard, std::move(cols.qual),
-                             std::move(cols.qualLens));
-    }
-
-    ThreadedResult result;
-    result.wallSeconds = bench::timeIt([&] {
-        session.start();
-        session.wait();
-    });
-    result.workersUsed = session.sim().lastRunWorkers();
-    result.cycles = session.sim().cycle();
-    const StatRegistry stats = session.sim().collectStats();
-    for (const auto &[name, value] : stats.counters()) {
-        result.statsSig += name;
-        result.statsSig += '=';
-        result.statsSig += std::to_string(value);
-        result.statsSig += ';';
-    }
-
-    result.sums.assign(n, 0);
-    for (size_t shard = 0; shard < chunks.size(); ++shard) {
-        auto [first, last] = chunks[shard];
-        std::string out_name = "p";
-        out_name += std::to_string(shard);
-        out_name += ".QSUM";
-        const modules::ColumnBuffer *flushed = session.flush(out_name);
-        for (size_t i = 0; i < flushed->elements.size(); ++i)
-            result.sums[first + i] = flushed->elements[i];
-    }
-    return result;
-}
-
-/** Parse "--threads 1,2,4" / "--threads=1,2,4" into the sweep list. */
-std::vector<int>
-parseThreadsArg(int argc, char **argv)
-{
-    std::vector<int> sweep;
-    const char *list = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            list = argv[i] + 10;
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            list = argv[++i];
-    }
-    if (!list)
-        return sweep;
-    for (const char *p = list; *p;) {
-        char *end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1) {
-            std::fprintf(stderr, "bad --threads list: %s\n", list);
-            std::exit(2);
-        }
-        sweep.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    return sweep;
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     auto workload = bench::makeBenchWorkload();
     bench::printHeader("concurrent multi-pipeline scaling (BatchRunner)",
                        workload);
     std::printf("host hardware_concurrency: %u\n\n",
                 std::thread::hardware_concurrency());
-
-    std::vector<int> thread_sweep = parseThreadsArg(argc, argv);
-    if (thread_sweep.empty())
-        thread_sweep = {1, 2, 4, 8};
-    if (thread_sweep.front() != 1)
-        thread_sweep.insert(thread_sweep.begin(), 1);
 
     std::vector<int64_t> baseline;
     double baseline_wall = 0.0;
@@ -260,7 +145,7 @@ main(int argc, char **argv)
                     "\"accel_seconds\": %.6f, \"dma_seconds\": %.6f, "
                     "\"host_seconds\": %.6f, "
                     "\"hardware_concurrency\": %u, "
-                    "\"sums_match_baseline\": %s},\n",
+                    "\"sums_match_baseline\": %s}%s\n",
                     lanes, stats.shards, stats.wallSeconds,
                     stats.wallSeconds > 0
                         ? baseline_wall / stats.wallSeconds
@@ -269,50 +154,15 @@ main(int argc, char **argv)
                     stats.timing.accelSeconds, stats.timing.dmaSeconds,
                     stats.timing.hostSeconds,
                     std::thread::hardware_concurrency(),
-                    (lanes == 1 || sums == baseline) ? "true" : "false");
-    }
-
-    // Thread sweep: one session, lane-sharded scheduler. The 1-thread
-    // point is both the timing and the bit-identity baseline.
-    ThreadedResult tbase;
-    for (size_t i = 0; i < thread_sweep.size(); ++i) {
-        int threads = thread_sweep[i];
-        ThreadedResult r = runThreadedPoint(workload, threads);
-        bool identical = true;
-        if (threads == 1 && i == 0) {
-            tbase = r;
-        } else {
-            identical = r.sums == tbase.sums &&
-                        r.cycles == tbase.cycles &&
-                        r.statsSig == tbase.statsSig;
-            if (!identical)
-                ok = false;
-        }
-        double speedup = r.wallSeconds > 0
-                             ? tbase.wallSeconds / r.wallSeconds
-                             : 0.0;
-        double efficiency =
-            r.workersUsed > 0 ? speedup / r.workersUsed : 0.0;
-        std::printf("  {\"threads\": %d, \"workers_used\": %d, "
-                    "\"shards\": %zu, \"wall_seconds\": %.4f, "
-                    "\"speedup_vs_1\": %.2f, \"efficiency\": %.2f, "
-                    "\"total_cycles\": %llu, "
-                    "\"hardware_concurrency\": %u, "
-                    "\"bit_identical\": %s}%s\n",
-                    threads, r.workersUsed, kShards, r.wallSeconds,
-                    speedup, efficiency,
-                    static_cast<unsigned long long>(r.cycles),
-                    std::thread::hardware_concurrency(),
-                    identical ? "true" : "false",
-                    i + 1 < thread_sweep.size() ? "," : "");
+                    (lanes == 1 || sums == baseline) ? "true" : "false",
+                    i + 1 < std::size(lane_counts) ? "," : "");
     }
     std::printf("]\n");
 
     if (!ok) {
         std::fprintf(stderr,
                      "FAIL: sweep point diverges from its baseline "
-                     "(lanes vs 1-lane sums, or threads vs 1-thread "
-                     "sums/cycles/stats)\n");
+                     "(lanes vs 1-lane sums)\n");
         return 1;
     }
     std::printf("\nall sweep points bit-identical to their baselines\n");

@@ -18,12 +18,6 @@
  * concurrent accelerator sessions (BatchRunner double-buffering: host
  * encode of shard k+1 overlaps execution of shard k). Results are
  * bit-for-bit identical to the single-session default.
- *
- * Multi-pipeline accelerators additionally shard their cycle loop
- * across simulator worker threads (GENESIS_SIM_THREADS; DESIGN.md
- * §4e) — also bit-identical, and automatically budgeted against
- * `--sessions` so the two parallelism levels never oversubscribe the
- * host's cores.
  */
 
 #include <cstdio>

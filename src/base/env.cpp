@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 #include "base/logging.h"
 
@@ -48,6 +49,18 @@ envInt64(const char *name, long long fallback, long long min_value,
         return fallback;
     }
     return parsed.value;
+}
+
+bool
+envFlag(const char *name)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env || std::strcmp(env, "0") == 0)
+        return false;
+    if (std::strcmp(env, "1") == 0)
+        return true;
+    warn("%s='%s' is not 0 or 1; treating it as 0", name, env);
+    return false;
 }
 
 } // namespace genesis

@@ -7,8 +7,9 @@
  * to 0 (so "abc" fell back with no diagnostic). Every integer knob now
  * goes through envInt64(): a full-string strict parse that warns and
  * falls back on malformed or out-of-range input, so a typo in
- * GENESIS_SERVICE_BOARDS or GENESIS_SIM_THREADS is loud instead of a
- * silent misconfiguration.
+ * GENESIS_SERVICE_BOARDS or GENESIS_DSE_WORKERS is loud instead of a
+ * silent misconfiguration. Every boolean escape hatch goes through
+ * envFlag(), so "0" means off for all of them.
  */
 
 #ifndef GENESIS_BASE_ENV_H
@@ -46,6 +47,13 @@ long long
 envInt64(const char *name, long long fallback,
          long long min_value = std::numeric_limits<long long>::min(),
          long long max_value = std::numeric_limits<long long>::max());
+
+/**
+ * Read boolean env flag `name`: unset, empty or "0" is false and "1" is
+ * true. Anything else warns (naming the variable and the offending
+ * text) and is false.
+ */
+bool envFlag(const char *name);
 
 } // namespace genesis
 

@@ -9,10 +9,10 @@
  * generation x accelerator clock — evaluated for each of the three
  * paper accelerators (markdup / metadata / BQSR). Every point runs one
  * full simulation of a deterministic synthetic workload; points are
- * farmed across host cores on the simulator's worker pool (one
- * sequential sim per point). Each point's simulated throughput is
- * joined with cost::boardDollarsPerHour (-> $/genome, scaled to a
- * 700 M-read genome) and pipeline::estimateResources (-> VU9P
+ * farmed across host threads (one simulation per thread at a time).
+ * Each point's simulated throughput is joined with
+ * cost::boardDollarsPerHour (-> $/genome, scaled to a 700 M-read
+ * genome) and pipeline::estimateResources (-> VU9P
  * LUT/FF/BRAM utilization) to produce per-accelerator Pareto frontiers
  * of throughput vs $/genome vs FPGA utilization.
  *

@@ -1,13 +1,16 @@
 /**
  * @file
- * Sweep execution: one sequential simulation per point, points farmed
- * across host cores on the simulator worker pool, metrics joined from
- * the cost and resource models. See dse.h for the determinism contract.
+ * Sweep execution: one simulation per point, points farmed across host
+ * threads, metrics joined from the cost and resource models. See dse.h
+ * for the determinism contract.
  */
 
 #include "dse/dse.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "base/env.h"
@@ -18,7 +21,6 @@
 #include "cost/cost.h"
 #include "genome/read_simulator.h"
 #include "pipeline/resource_model.h"
-#include "sim/parallel.h"
 
 namespace genesis::dse {
 
@@ -99,9 +101,6 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
         rt.clockHz = pt.clockMHz * 1e6;
         rt.dma = runtime::DmaConfig::fromName(pt.dmaPreset);
         rt.memory = preset->memory;
-        // Points are farmed across cores: each simulation runs
-        // sequentially on its harness worker.
-        rt.simThreads = 1;
 
         std::vector<std::string> errors = runtime::validate(rt);
         if (pt.numPipelines < 1) {
@@ -229,14 +228,31 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
     workers = std::max(
         1, std::min(workers, static_cast<int>(points.size())));
 
-    // Farm the points over the simulator worker pool: the caller is one
-    // worker, so the pool only needs workers - 1 helpers. Results land
-    // at their point's index, so farming order never shows in the
-    // output.
-    sim::SimThreadPool pool(workers - 1);
-    pool.run(points.size(), [&](size_t i) {
-        result.points[i] = runPoint(points[i], spec, shared_ptr);
-    });
+    // Farm the points over `workers` threads pulling the next index.
+    // Results land at their point's index, so farming order never shows
+    // in the output. The first exception escaping a point is rethrown
+    // after every thread joined; the other threads finish their points.
+    std::atomic<size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    auto farm = [&] {
+        for (size_t i = next++; i < points.size(); i = next++) {
+            try {
+                result.points[i] = runPoint(points[i], spec, shared_ptr);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < workers; ++t)
+        threads.emplace_back(farm);
+    for (auto &thread : threads)
+        thread.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
 
     // Per-accelerator Pareto frontiers over the feasible points.
     for (Accel accel : spec.accels) {

@@ -1,8 +1,8 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "base/env.h"
 #include "base/logging.h"
 #include "engine/vec_executor.h"
 #include "genome/cigar.h"
@@ -84,12 +84,8 @@ ExecConfig
 ExecConfig::fromEnv()
 {
     ExecConfig config;
-    const char *no_opt = std::getenv("GENESIS_SQL_NO_OPT");
-    if (no_opt && *no_opt && std::string(no_opt) != "0")
-        config.optimize = false;
-    const char *no_vec = std::getenv("GENESIS_SQL_NO_VEC");
-    if (no_vec && *no_vec && std::string(no_vec) != "0")
-        config.vectorize = false;
+    config.optimize = !envFlag("GENESIS_SQL_NO_OPT");
+    config.vectorize = !envFlag("GENESIS_SQL_NO_VEC");
     config.ruleMask = sql::ruleMaskFromEnv();
     return config;
 }

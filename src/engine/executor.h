@@ -71,7 +71,7 @@ using CustomOp =
 /**
  * Execution configuration: logical optimization and vectorized
  * execution are on by default and can be disabled per executor or via
- * the environment (GENESIS_SQL_NO_OPT, GENESIS_SQL_NO_VEC,
+ * the environment (GENESIS_SQL_NO_OPT=1, GENESIS_SQL_NO_VEC=1,
  * GENESIS_OPT_RULES).
  */
 struct ExecConfig {

@@ -28,15 +28,13 @@ sim::HardwareQueue *
 PipelineBuilder::queue(const std::string &suffix, size_t capacity)
 {
     ++census_.queueCount;
-    sim::Simulator::LaneScope lane(sim_, pipelineId_);
     return sim_.makeQueue(scopedName(suffix), capacity);
 }
 
 sim::MemoryPort *
 PipelineBuilder::port()
 {
-    sim::Simulator::LaneScope lane(sim_, pipelineId_);
-    return sim_.makePort(pipelineId_);
+    return sim_.memory().makePort(pipelineId_);
 }
 
 sim::Scratchpad *
@@ -47,7 +45,6 @@ PipelineBuilder::scratchpad(const std::string &suffix, size_t size_words,
         arch_bits_per_word = static_cast<int>(8 * word_bytes);
     census_.spmBits += static_cast<uint64_t>(size_words) *
         static_cast<uint64_t>(arch_bits_per_word);
-    sim::Simulator::LaneScope lane(sim_, pipelineId_);
     return sim_.makeScratchpad(scopedName(suffix), size_words, word_bytes);
 }
 

@@ -64,16 +64,13 @@ class PipelineBuilder
                                 size_t size_words, uint32_t word_bytes = 8,
                                 int arch_bits_per_word = -1);
 
-    /** Construct a module, recording its kind in the census. The module
-     *  is stamped with this pipeline's lane shard, so the parallel
-     *  scheduler ticks it on the lane's worker (DESIGN.md §4e). */
+    /** Construct a module, recording its kind in the census. */
     template <typename T, typename... Args>
     T *
     add(const std::string &kind, const std::string &suffix,
         Args &&...args)
     {
         ++census_.moduleCounts[kind];
-        sim::Simulator::LaneScope lane(sim_, pipelineId_);
         return sim_.make<T>(scopedName(suffix),
                             std::forward<Args>(args)...);
     }

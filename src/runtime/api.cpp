@@ -63,21 +63,9 @@ validate(const RuntimeConfig &config)
                                 "non-negative (got %g)",
                                 config.dma.perTransferLatency));
     }
-    if (config.simThreads < 0) {
-        errors.push_back(strfmt("simThreads: must be >= 0 (got %d)",
-                                config.simThreads));
-    }
-    if (config.concurrentSessions < 1) {
-        errors.push_back(strfmt("concurrentSessions: must be >= 1 "
-                                "(got %d)", config.concurrentSessions));
-    }
-    if (config.memThreads < 0) {
-        errors.push_back(strfmt("memThreads: must be >= 0 (got %d)",
-                                config.memThreads));
-    }
-    if (config.simWindow < 0) {
-        errors.push_back(strfmt("simWindow: must be >= 0 (got %d)",
-                                config.simWindow));
+    if (config.simThreads != 0 && config.simThreads != 1) {
+        errors.push_back(strfmt("simThreads: the simulator runs on one "
+                                "thread (got %d)", config.simThreads));
     }
     for (const auto &e : sim::validate(config.memory))
         errors.push_back("memory." + e);
@@ -112,12 +100,6 @@ AcceleratorSession::AcceleratorSession(const RuntimeConfig &config,
         ownedDevice_ = std::make_unique<DeviceMemory>();
         device_ = ownedDevice_.get();
     }
-    sim::ThreadPolicy threads;
-    threads.requested = config_.simThreads;
-    threads.concurrentSessions = config_.concurrentSessions;
-    sim_->setThreadPolicy(threads);
-    sim_->setWindowPolicy(config_.simWindow);
-    sim_->memory().setMemThreads(config_.memThreads);
     if (config_.trace)
         sim_->attachTrace(config_.trace, config_.traceLabel);
 }

@@ -70,39 +70,12 @@ struct RuntimeConfig {
      */
     bool strictFlush = false;
     /**
-     * Worker threads for the lane-sharded parallel simulator (0 = auto:
-     * the per-session core budget). Overridden at run time by
-     * GENESIS_SIM_THREADS; GENESIS_SIM_NO_THREADS=1 forces one worker.
-     * Simulated cycles, statistics and traces are bit-identical at any
-     * value; see sim/parallel.h for the budget-resolution policy.
+     * Does nothing: the simulator always runs on the thread that calls
+     * run() (DESIGN.md §4e). The field remains only because the repo
+     * benchmark pins it to 1 and may change only together with the
+     * benchmark. validate() accepts 0 and 1 and rejects anything else.
      */
     int simThreads = 0;
-    /**
-     * Sessions expected to run concurrently on this host. BatchRunner
-     * sets it to its lane count so auto thread sizing divides the
-     * host's cores instead of oversubscribing them (lanes × workers is
-     * kept within hardware_concurrency); explicit simThreads requests
-     * are likewise clamped to the per-session share when this exceeds 1.
-     */
-    int concurrentSessions = 1;
-    /**
-     * Worker threads for the channel-parallel memory tick (0 = the
-     * sequential tick, the default — see sim/parallel.h for why it is
-     * opt-in). Overridden at run time by GENESIS_SIM_MEM_THREADS;
-     * GENESIS_SIM_NO_MEM_THREADS=1 forces the sequential tick; clamped
-     * to the channel count. Simulated cycles, statistics and traces are
-     * bit-identical at any value.
-     */
-    int memThreads = 0;
-    /**
-     * Lookahead-window cap for the parallel simulator (DESIGN.md §4f):
-     * when the memory system is provably quiet for k cycles, lane shards
-     * tick up to min(k, cap) cycles per barrier. 0 = auto (the built-in
-     * default), 1 = single-cycle barriers (windows off). Overridden at
-     * run time by GENESIS_SIM_WINDOW. Simulated cycles, statistics and
-     * traces are bit-identical at any value; sequential runs ignore it.
-     */
-    int simWindow = 0;
 };
 
 /**

@@ -45,11 +45,6 @@ BatchRunner::run(size_t num_shards, const ShardBuild &build,
     const size_t lanes =
         std::min<size_t>(static_cast<size_t>(config_.numLanes),
                          num_shards ? num_shards : 1);
-    // Up to `lanes` sessions simulate concurrently: tell every session
-    // so its simulator-worker sizing shares the host's cores instead of
-    // multiplying against the lane count (sim/parallel.h policy).
-    shard_config.concurrentSessions =
-        std::max(shard_config.concurrentSessions, static_cast<int>(lanes));
     std::vector<Lane> inflight(lanes);
 
     auto retire = [&](Lane &lane) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "base/env.h"
 #include "base/logging.h"
@@ -39,7 +38,7 @@ ServiceConfig::fromEnv(ServiceConfig base)
     base.queueCapacity = static_cast<size_t>(envLong(
         "GENESIS_SERVICE_QUEUE_CAP",
         static_cast<long long>(base.queueCapacity)));
-    if (std::getenv("GENESIS_SERVICE_NO_CACHE"))
+    if (envFlag("GENESIS_SERVICE_NO_CACHE"))
         base.enableCache = false;
     base.deviceCapacityBytes = static_cast<uint64_t>(envLong(
         "GENESIS_SERVICE_DEVICE_MB",
@@ -262,13 +261,9 @@ AcceleratorService::runJob(PendingJob &job, int board, int slot)
                               dispatch - job.admitted)
                               .count();
 
-    runtime::RuntimeConfig rt = config_.runtime;
-    rt.concurrentSessions = std::max(
-        rt.concurrentSessions,
-        config_.numBoards * config_.slotsPerBoard);
     runtime::DeviceMemory *memory =
         boards_[static_cast<size_t>(board)].memory.get();
-    runtime::AcceleratorSession session(rt, memory);
+    runtime::AcceleratorSession session(config_.runtime, memory);
     JobContext ctx(&session, memory,
                    "j" + std::to_string(job.seq) + ".",
                    config_.enableCache, board, slot);

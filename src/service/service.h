@@ -75,8 +75,8 @@ struct ServiceConfig {
 
     /**
      * Apply GENESIS_SERVICE_* environment overrides: BOARDS, SLOTS,
-     * QUEUE_CAP, NO_CACHE, DEVICE_MB (device capacity), CACHE_MB
-     * (cache high-water).
+     * QUEUE_CAP, NO_CACHE (1 disables the column cache), DEVICE_MB
+     * (device capacity), CACHE_MB (cache high-water).
      */
     static ServiceConfig fromEnv(ServiceConfig base);
     static ServiceConfig fromEnv();

@@ -51,10 +51,9 @@ class RoundRobinArbiter
 
     /**
      * Requester the next grant() scan starts from. A grant with no
-     * eligible requester leaves this untouched — the property that makes
-     * arbitration replayable: ticks that find nothing schedulable (the
-     * lookahead window's not-yet-visible sub-requests, tickQuiet's
-     * proven-quiet spans) are exact no-ops on arbiter state.
+     * eligible requester leaves this untouched, so ticks that find
+     * nothing schedulable (the spans tickQuiet() proves quiet) are exact
+     * no-ops on arbiter state and may be skipped.
      */
     size_t nextIndex() const { return next_; }
 

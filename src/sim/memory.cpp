@@ -3,29 +3,8 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "sim/parallel.h"
 
 namespace genesis::sim {
-
-namespace {
-
-/** Channel a channel-parallel scan job is restricted to on this thread
- *  (kNoScanChannel outside a scan phase). See ChannelScanGuard. */
-constexpr int kNoScanChannel = -1;
-thread_local int tlsScanChannel = kNoScanChannel;
-
-} // namespace
-
-MemorySystem::ChannelScanGuard::ChannelScanGuard(int channel)
-    : prev_(tlsScanChannel)
-{
-    tlsScanChannel = channel;
-}
-
-MemorySystem::ChannelScanGuard::~ChannelScanGuard()
-{
-    tlsScanChannel = prev_;
-}
 
 bool
 MemoryPort::canIssue() const
@@ -65,23 +44,19 @@ MemoryPort::enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write)
     // schedule queue in a cycle after its issue: only deque heads are
     // ever considered by arbitration, so a same-cycle tail or a
     // non-head tail provably cannot have been granted yet, while an
-    // aged head may be granted at any tick. Deciding on (position, age)
-    // instead of peeking `scheduled` makes the decision a function of
-    // port-local state alone — identical whether arbitration runs every
-    // cycle (sequential) or is replayed at a window barrier (§4f).
+    // aged head may be granted at any tick. The decision rests on
+    // (position, age), never on whether the head happened to win
+    // arbitration, so it is a function of port-local state alone.
     if (!pending_.empty()) {
         SubRequest &tail = pending_.back();
         bool burst_open = !tail.scheduled &&
-            (pending_.size() >= 2 || tail.issueCycle == *issueClock_);
+            (pending_.size() >= 2 || tail.issueCycle == owner_->cycle_);
         if (burst_open && tail.isWrite == is_write &&
             tail.channel == loc.channel && tail.bank == loc.bank &&
             tail.row == loc.row && tail.addr + tail.bytes == addr &&
             tail.bytes + bytes <= owner_->config().maxBurstBytes) {
             tail.bytes += bytes;
-            if (deferAccounting_)
-                ++deferred_.coalesced;
-            else
-                ++*owner_->coalesced_;
+            ++*owner_->coalesced_;
             if (trace_) {
                 trace_->asyncInstant(traceTrack_, tail.traceId,
                                      *traceCycle_, stateCoalesce_,
@@ -98,7 +73,7 @@ MemoryPort::enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write)
     req.channel = loc.channel;
     req.bank = loc.bank;
     req.row = loc.row;
-    req.issueCycle = *issueClock_;
+    req.issueCycle = owner_->cycle_;
     if (trace_) {
         req.traceId = trace_->newAsyncId();
         trace_->asyncBegin(traceTrack_, req.traceId, *traceCycle_,
@@ -108,32 +83,14 @@ MemoryPort::enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write)
                                      static_cast<uint64_t>(loc.channel)));
     }
     pending_.push_back(req);
-    if (deferAccounting_) {
-        ++deferred_.subRequests;
-        ++deferred_.pending;
-        ++deferred_.unscheduled;
-    } else {
-        ++*owner_->subRequests_;
-        ++owner_->pendingSubRequests_;
-        ++owner_->unscheduledSubRequests_;
-    }
+    ++*owner_->subRequests_;
+    ++owner_->pendingSubRequests_;
+    ++owner_->unscheduledSubRequests_;
 }
 
 void
 MemoryPort::issue(uint64_t addr, uint32_t bytes, bool is_write)
 {
-    if (tlsScanChannel != kNoScanChannel) {
-        panic("memory port %d: issue() during a channel-parallel scan "
-              "phase (the scan is read-only; issues belong to the lane "
-              "phase or the control thread)", id_);
-    }
-    if (tlsCurrentShard != kNoShard && shard_ >= 0 &&
-        tlsCurrentShard != shard_) {
-        panic("cross-shard memory issue on port %d (owner shard %d) from "
-              "shard %d during a parallel phase: lanes may only couple "
-              "through their own memory ports", id_, shard_,
-              tlsCurrentShard);
-    }
     if (!canIssue())
         panic("memory port %d: issue to full queue", id_);
     if (bytes == 0)
@@ -152,24 +109,9 @@ MemoryPort::issue(uint64_t addr, uint32_t bytes, bool is_write)
         enqueueSlice(cur, slice, is_write);
         cur += slice;
     }
-    if (deferAccounting_) {
-        ++deferred_.requests;
-        // With the port bound to a shard (window mode), issue progress
-        // must land in the shard's own counter immediately: the control
-        // phase reads per-subcycle progress to run its quiet/hang
-        // machine, and the deferred drain only happens at the barrier.
-        // Stat counters stay staged — only the owning worker touches
-        // this port during a parallel phase, and the shard counter is
-        // that worker's private accumulator.
-        if (directProgress_ && progress_)
-            ++*progress_;
-        else
-            ++deferred_.progress;
-    } else {
-        ++*owner_->requests_;
-        if (progress_)
-            ++*progress_;
-    }
+    ++*owner_->requests_;
+    if (progress_)
+        ++*progress_;
 }
 
 uint64_t
@@ -239,7 +181,6 @@ MemorySystem::MemorySystem(const MemoryConfig &config) : config_(config)
     if (config_.rowHitLatencyCycles == 0)
         config_.rowHitLatencyCycles = config_.latencyCycles / 2;
 
-    memThreads_ = resolveMemWorkerCount(0, config_.numChannels);
     channelBusyUntil_.assign(static_cast<size_t>(config_.numChannels), 0);
     banks_.assign(static_cast<size_t>(config_.numChannels) *
                       static_cast<size_t>(config_.banksPerChannel),
@@ -251,16 +192,6 @@ MemorySystem::MemorySystem(const MemoryConfig &config) : config_(config)
         channelBytes_.push_back(
             stats_.counter("ch" + std::to_string(ch) + "_bytes"));
     }
-}
-
-// Out of line: ~MemorySystem must see the complete SimThreadPool type
-// for the unique_ptr member (the header only forward-declares it).
-MemorySystem::~MemorySystem() = default;
-
-void
-MemorySystem::setMemThreads(int requested)
-{
-    memThreads_ = resolveMemWorkerCount(requested, config_.numChannels);
 }
 
 MemorySystem::DramLoc
@@ -286,11 +217,6 @@ MemorySystem::locate(uint64_t addr) const
 MemorySystem::Bank &
 MemorySystem::bankAt(int channel, int bank)
 {
-    if (tlsScanChannel != kNoScanChannel && channel != tlsScanChannel) {
-        panic("cross-channel touch: bank state of channel %d accessed "
-              "from the channel-parallel scan of channel %d",
-              channel, tlsScanChannel);
-    }
     return banks_[static_cast<size_t>(channel) *
                       static_cast<size_t>(config_.banksPerChannel) +
                   static_cast<size_t>(bank)];
@@ -299,11 +225,6 @@ MemorySystem::bankAt(int channel, int bank)
 const MemorySystem::Bank &
 MemorySystem::bankAt(int channel, int bank) const
 {
-    if (tlsScanChannel != kNoScanChannel && channel != tlsScanChannel) {
-        panic("cross-channel touch: bank state of channel %d accessed "
-              "from the channel-parallel scan of channel %d",
-              channel, tlsScanChannel);
-    }
     return banks_[static_cast<size_t>(channel) *
                       static_cast<size_t>(config_.banksPerChannel) +
                   static_cast<size_t>(bank)];
@@ -315,57 +236,6 @@ MemorySystem::attachProgress(uint64_t *counter)
     progress_ = counter;
     for (auto &port : ports_)
         port->progress_ = counter;
-}
-
-void
-MemorySystem::bindPortScheduling(size_t port, const uint64_t *clock,
-                                 uint64_t *progress)
-{
-    GENESIS_ASSERT(port < ports_.size(), "bind of unknown port");
-    MemoryPort &p = *ports_[port];
-    p.issueClock_ = clock;
-    p.progress_ = progress;
-    p.directProgress_ = true;
-}
-
-void
-MemorySystem::unbindPortScheduling()
-{
-    for (auto &port : ports_) {
-        port->issueClock_ = &cycle_;
-        port->progress_ = progress_;
-        port->directProgress_ = false;
-    }
-}
-
-void
-MemorySystem::setDeferredAccounting(bool defer)
-{
-    deferAccounting_ = defer;
-    for (auto &port : ports_)
-        port->deferAccounting_ = defer;
-    if (!defer) {
-        // Defensive: a drain normally happened at the last tick(), but
-        // never leave staged accounting behind when switching back.
-        drainDeferredAccounting();
-        retiredPortsLastTick_.clear();
-    }
-}
-
-void
-MemorySystem::drainDeferredAccounting()
-{
-    for (auto &port : ports_) {
-        MemoryPort::DeferredAccounting &d = port->deferred_;
-        *requests_ += d.requests;
-        *subRequests_ += d.subRequests;
-        *coalesced_ += d.coalesced;
-        pendingSubRequests_ += static_cast<size_t>(d.pending);
-        unscheduledSubRequests_ += static_cast<size_t>(d.unscheduled);
-        if (progress_)
-            *progress_ += d.progress;
-        d = MemoryPort::DeferredAccounting();
-    }
 }
 
 void
@@ -405,8 +275,6 @@ MemorySystem::makePort(int local_group)
         std::unique_ptr<MemoryPort>(new MemoryPort(id, local_group, this));
     port->queueDepth_ = config_.portQueueDepth;
     port->progress_ = progress_;
-    port->issueClock_ = &cycle_;
-    port->deferAccounting_ = deferAccounting_;
     port->retireWaiters_.setName("mem.port" + std::to_string(id) +
                                  " retire");
     if (trace_)
@@ -438,14 +306,6 @@ MemorySystem::tick()
 {
     ++cycle_;
 
-    if (deferAccounting_) {
-        // Fold the parallel phase's staged issue accounting in before
-        // any early-out reads the pending totals; port order keeps the
-        // drain deterministic (the sums are order-independent anyway).
-        drainDeferredAccounting();
-        retiredPortsLastTick_.clear();
-    }
-
     if (pendingSubRequests_ == 0) {
         // Nothing in flight on any port: arbitration, the bank-conflict
         // scan and retirement are all no-ops, and every channel bus is
@@ -457,68 +317,74 @@ MemorySystem::tick()
         return;
     }
 
-    if (unscheduledSubRequests_ > 0) {
+    // With no unscheduled head, every channel grant and the
+    // bank-conflict scan (both gated on one) are no-ops, so skipping
+    // arbitration is bit-identical.
+    if (unscheduledSubRequests_ > 0)
+        arbitrate();
+
+    // Exactly one of busy/idle accrues per channel per cycle, so
+    // channel_busy_cycles + channel_idle_cycles == numChannels x cycles
+    // holds at every tick boundary (assertStatInvariant). A channel that
+    // scheduled this cycle counts as busy from this cycle on.
+    for (int ch = 0; ch < config_.numChannels; ++ch) {
+        if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
+            ++*channelBusyCycles_;
+        else
+            ++*channelIdleCycles_;
+    }
+
+    // Retire completions in issue order per port.
+    for (auto &port : ports_) {
+        bool retired = false;
+        while (!port->pending_.empty()) {
+            const auto &head = port->pending_.front();
+            if (!head.scheduled || head.completeCycle > cycle_)
+                break;
+            if (head.isWrite)
+                port->retiredWriteBytes_ += head.bytes;
+            else
+                port->completedReadBytes_ += head.bytes;
+            if (trace_) {
+                trace_->asyncEnd(port->traceTrack_, head.traceId, cycle_,
+                                 head.isWrite ? port->stateWrite_
+                                              : port->stateRead_);
+            }
+            port->pending_.pop_front();
+            --pendingSubRequests_;
+            ++*progress_; // retiring is architectural progress
+            retired = true;
+        }
+        if (retired)
+            port->retireWaiters_.wakeAll();
+    }
+}
+
+void
+MemorySystem::arbitrate()
+{
     // Each local arbiter forwards at most one sub-request per cycle;
     // each channel's global arbiter accepts at most one per cycle.
     groupUsedScratch_.assign(localArbiters_.size(), 0);
     auto &group_used = groupUsedScratch_;
-    const size_t num_ports = ports_.size();
 
-    // Phase A (optionally channel-parallel): per-channel eligibility
-    // scan. The scan is read-only and each job writes only its own
-    // channel's scratch row, so jobs are race-free; using pre-grant
-    // state is exact because a grant on channel C mutates only C's bank
-    // and bus state plus the granted head (which targets C alone), none
-    // of which another channel's flags depend on, and channel C's own
-    // flags are consumed before C's grant. Tracing keeps the sequential
-    // tick (single-writer sink); so does a single busy channel.
-    bool par_scan = memThreads_ > 1 && trace_ == nullptr &&
-        config_.numChannels > 1;
-    if (par_scan) {
-        if (!memPool_ ||
-            memPool_->helpers() != memThreads_ - 1) {
-            memPool_ =
-                std::make_unique<SimThreadPool>(memThreads_ - 1);
-        }
-        eligScratch_.assign(
-            static_cast<size_t>(config_.numChannels) * num_ports, 0);
-        conflictScratch_.assign(
-            static_cast<size_t>(config_.numChannels), 0);
-        memPool_->run(
-            static_cast<size_t>(config_.numChannels), [&](size_t ch) {
-                ChannelScanGuard guard(static_cast<int>(ch));
-                scanChannel(static_cast<int>(ch),
-                            eligScratch_.data() + ch * num_ports,
-                            &conflictScratch_[ch]);
-            });
-    }
-
-    // Phase B (serial, fixed channel order): arbitration grants and
-    // their state/stat updates.
     for (int ch = 0; ch < config_.numChannels; ++ch) {
         if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
             continue; // data bus still transferring a prior request
 
-        // A group is eligible when one of its ports has a visible (see
-        // SubRequest::issueCycle) unscheduled head sub-request destined
-        // for this channel whose bank has finished its previous access
-        // phase.
+        // A group is eligible when one of its ports has an unscheduled
+        // head sub-request destined for this channel whose bank has
+        // finished its previous access phase.
         auto port_eligible = [&](size_t group, size_t slot) {
             if (group >= groupPorts_.size() ||
                 slot >= groupPorts_[group].size()) {
                 return false;
             }
-            size_t port_idx = groupPorts_[group][slot];
-            if (par_scan) {
-                return eligScratch_[static_cast<size_t>(ch) * num_ports +
-                                    port_idx] != 0;
-            }
-            const MemoryPort &p = *ports_[port_idx];
+            const MemoryPort &p = *ports_[groupPorts_[group][slot]];
             if (p.pending_.empty())
                 return false;
             const auto &head = p.pending_.front();
-            return !head.scheduled && head.issueCycle < cycle_ &&
-                head.channel == ch &&
+            return !head.scheduled && head.channel == ch &&
                 bankAt(ch, head.bank).busyUntil <= cycle_;
         };
 
@@ -536,10 +402,7 @@ MemorySystem::tick()
             // Free bus with nothing schedulable: if a head was turned
             // away solely because its bank is mid-access, record the
             // bank conflict (at most once per channel per cycle).
-            bool conflict = par_scan
-                ? conflictScratch_[static_cast<size_t>(ch)] != 0
-                : channelHasBankConflict(ch);
-            if (conflict)
+            if (channelHasBankConflict(ch, cycle_))
                 ++*bankConflictCycles_;
             continue;
         }
@@ -586,49 +449,6 @@ MemorySystem::tick()
                          cycle_ + transfer_cycles);
         }
     }
-    } // unscheduledSubRequests_ > 0; with none, every channel grant and
-      // the bank-conflict scan (both gated on an unscheduled head) are
-      // no-ops, so skipping is bit-identical.
-
-    // Exactly one of busy/idle accrues per channel per cycle, so
-    // channel_busy_cycles + channel_idle_cycles == numChannels x cycles
-    // holds at every tick boundary (assertStatInvariant). A channel that
-    // scheduled this cycle counts as busy from this cycle on.
-    for (int ch = 0; ch < config_.numChannels; ++ch) {
-        if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
-            ++*channelBusyCycles_;
-        else
-            ++*channelIdleCycles_;
-    }
-
-    // Retire completions in issue order per port.
-    for (size_t port_i = 0; port_i < ports_.size(); ++port_i) {
-        auto &port = ports_[port_i];
-        bool retired = false;
-        while (!port->pending_.empty()) {
-            const auto &head = port->pending_.front();
-            if (!head.scheduled || head.completeCycle > cycle_)
-                break;
-            if (head.isWrite)
-                port->retiredWriteBytes_ += head.bytes;
-            else
-                port->completedReadBytes_ += head.bytes;
-            if (trace_) {
-                trace_->asyncEnd(port->traceTrack_, head.traceId, cycle_,
-                                 head.isWrite ? port->stateWrite_
-                                              : port->stateRead_);
-            }
-            port->pending_.pop_front();
-            --pendingSubRequests_;
-            ++*progress_; // retiring is architectural progress
-            retired = true;
-        }
-        if (retired) {
-            if (deferAccounting_)
-                retiredPortsLastTick_.push_back(port_i);
-            port->retireWaiters_.wakeAll();
-        }
-    }
 }
 
 uint64_t
@@ -642,12 +462,12 @@ MemorySystem::nextEventCycle() const
     // Head completions: the retire loop stops at each port's head, so a
     // port's next retirement happens at its head's completeCycle. An
     // unscheduled head is an event at the first tick that could grant
-    // it — it must be visible (issued before the tick's clock) and its
-    // channel bus and bank must have expired. A retirement can expose a
-    // new unscheduled head after the same tick's scheduling phase ran,
-    // so free-resource heads are events at cycle_ + 1, not covered by
-    // the expiry scans below. The bound is conservative (the head may
-    // still lose arbitration at that tick), which only shortens jumps.
+    // it — its channel bus and bank must have expired. A retirement can
+    // expose a new unscheduled head after the same tick's scheduling
+    // phase ran, so free-resource heads are events at cycle_ + 1, not
+    // covered by the expiry scans below. The bound is conservative (the
+    // head may still lose arbitration at that tick), which only shortens
+    // jumps.
     for (const auto &port : ports_) {
         if (port->pending_.empty())
             continue;
@@ -656,7 +476,7 @@ MemorySystem::nextEventCycle() const
             consider(std::max(head.completeCycle, cycle_ + 1));
         } else {
             uint64_t grantable = std::max(
-                {cycle_ + 1, head.issueCycle + 1,
+                {cycle_ + 1,
                  channelBusyUntil_[static_cast<size_t>(head.channel)],
                  bankAt(head.channel, head.bank).busyUntil});
             consider(grantable);
@@ -676,59 +496,14 @@ MemorySystem::nextEventCycle() const
     return next;
 }
 
-uint64_t
-MemorySystem::nextEventCycle(int channel) const
-{
-    uint64_t next = kNoEvent;
-    auto consider = [&next](uint64_t c) {
-        if (c < next)
-            next = c;
-    };
-    for (const auto &port : ports_) {
-        if (port->pending_.empty())
-            continue;
-        const auto &head = port->pending_.front();
-        if (head.channel != channel)
-            continue;
-        if (head.scheduled) {
-            consider(std::max(head.completeCycle, cycle_ + 1));
-        } else {
-            uint64_t grantable = std::max(
-                {cycle_ + 1, head.issueCycle + 1,
-                 channelBusyUntil_[static_cast<size_t>(channel)],
-                 bankAt(channel, head.bank).busyUntil});
-            consider(grantable);
-        }
-    }
-    if (channelBusyUntil_[static_cast<size_t>(channel)] > cycle_)
-        consider(channelBusyUntil_[static_cast<size_t>(channel)]);
-    return next;
-}
-
-uint64_t
-MemorySystem::earliestRetireCycle() const
-{
-    uint64_t next = kNoEvent;
-    for (const auto &port : ports_) {
-        if (port->pending_.empty())
-            continue;
-        const auto &head = port->pending_.front();
-        if (head.scheduled &&
-            std::max(head.completeCycle, cycle_ + 1) < next)
-            next = std::max(head.completeCycle, cycle_ + 1);
-    }
-    return next;
-}
-
 void
 MemorySystem::tickQuiet(uint64_t cycles)
 {
     if (cycles == 0)
         return;
-    if (trace_ != nullptr || deferAccounting_) {
-        // Tracing wants real per-cycle records and deferred mode wants
-        // the drain/retired-port bookkeeping; the plain loop provides
-        // both exactly.
+    if (trace_ != nullptr) {
+        // Tracing wants real per-cycle records; the plain loop provides
+        // them exactly.
         for (uint64_t i = 0; i < cycles; ++i)
             tick();
         return;
@@ -760,7 +535,7 @@ MemorySystem::tickQuiet(uint64_t cycles)
             ++busy_channels;
             continue;
         }
-        if (unscheduledSubRequests_ > 0 && channelHasBankConflictAt(ch, t))
+        if (unscheduledSubRequests_ > 0 && channelHasBankConflict(ch, t))
             ++conflict_channels;
     }
     // nextEventCycle() reports unscheduled heads at their earliest
@@ -787,47 +562,18 @@ MemorySystem::tickQuiet(uint64_t cycles)
 }
 
 bool
-MemorySystem::channelHasBankConflict(int ch) const
-{
-    return channelHasBankConflictAt(ch, cycle_);
-}
-
-bool
-MemorySystem::channelHasBankConflictAt(int ch, uint64_t at) const
+MemorySystem::channelHasBankConflict(int ch, uint64_t at) const
 {
     for (const auto &p : ports_) {
         if (p->pending_.empty())
             continue;
         const auto &head = p->pending_.front();
-        if (!head.scheduled && head.issueCycle < at &&
-            head.channel == ch && bankAt(ch, head.bank).busyUntil > at) {
+        if (!head.scheduled && head.channel == ch &&
+            bankAt(ch, head.bank).busyUntil > at) {
             return true;
         }
     }
     return false;
-}
-
-void
-MemorySystem::scanChannel(int ch, char *elig, char *conflict) const
-{
-    // Busy data bus: the serial grant loop skips this channel before
-    // reading any flag, so leave the zeroed row as-is.
-    if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
-        return;
-    for (size_t i = 0; i < ports_.size(); ++i) {
-        const MemoryPort &p = *ports_[i];
-        if (p.pending_.empty())
-            continue;
-        const auto &head = p.pending_.front();
-        if (head.scheduled || head.issueCycle >= cycle_ ||
-            head.channel != ch) {
-            continue;
-        }
-        if (bankAt(ch, head.bank).busyUntil <= cycle_)
-            elig[i] = 1;
-        else
-            *conflict = 1;
-    }
 }
 
 void

@@ -124,16 +124,6 @@ class MemoryPort
     uint64_t retiredWriteBytes() const { return retiredWriteBytes_; }
 
     /**
-     * Stamp the pipeline-lane shard owning this port (kept from
-     * Simulator::makePort). issue() panics on a cross-shard issue during
-     * a parallel phase — a module of one lane issuing on another lane's
-     * port would race that lane's worker on the port queue. -1 =
-     * unaffiliated (no guard).
-     */
-    void setShard(int shard) { shard_ = shard; }
-    int shard() const { return shard_; }
-
-    /**
      * Sleepers blocked on this port, fired whenever a sub-request
      * retires. Retirement is the port's only externally visible event:
      * it delivers read data (takeCompletedReadBytes), advances the write
@@ -157,11 +147,9 @@ class MemoryPort
         /** Channel-local row index (unique per bank+row pair). */
         uint64_t row = 0;
         uint64_t completeCycle = 0;
-        /** Cycle this slice was issued (the port's issue clock). The
-         *  arbiter only considers a head once issueCycle < the memory
-         *  clock, so sub-requests issued by lane shards mid-window become
-         *  schedulable exactly when a cycle-by-cycle run would have
-         *  issued them (DESIGN.md §4f). */
+        /** Memory cycle this slice was issued on. The burst-coalescing
+         *  rule reads it (see enqueueSlice): a head issued this cycle
+         *  cannot have been granted yet, an older head may have been. */
         uint64_t issueCycle = 0;
         /** Async-lifetime id when tracing (0 = untraced). */
         uint64_t traceId = 0;
@@ -175,22 +163,6 @@ class MemoryPort
     /** Append one sub-request slice, coalescing into the tail if legal. */
     void enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write);
 
-    /**
-     * Issue-side accounting deltas accumulated while the owning system
-     * defers them (see MemorySystem::setDeferredAccounting): issue()
-     * runs on the port's shard worker during a parallel phase, so the
-     * system-global counters it would bump are staged here and drained
-     * at the next tick() on the control thread, in port order.
-     */
-    struct DeferredAccounting {
-        uint64_t requests = 0;
-        uint64_t subRequests = 0;
-        uint64_t coalesced = 0;
-        uint64_t pending = 0;
-        uint64_t unscheduled = 0;
-        uint64_t progress = 0;
-    };
-
     int id_;
     int group_;
     MemorySystem *owner_;
@@ -202,21 +174,6 @@ class MemoryPort
     WaitList retireWaiters_;
     /** Owning MemorySystem's progress counter (issue() bumps it). */
     uint64_t *progress_ = nullptr;
-    /** Clock stamping SubRequest::issueCycle: the owner's cycle counter,
-     *  re-pointed at the owning shard's subcycle counter while the
-     *  parallel scheduler runs lookahead windows (bindPortScheduling). */
-    const uint64_t *issueClock_ = nullptr;
-    /** Owning lane shard (-1 = unaffiliated); see setShard. */
-    int shard_ = -1;
-    /** When true, issue() bumps *progress_ directly even while the owner
-     *  defers accounting: the port is exclusively owned by one lane
-     *  shard and progress_ points at that shard's counter, so the bump
-     *  is race-free and lands in the correct window subcycle. */
-    bool directProgress_ = false;
-    /** When true, issue-side global-counter bumps land in deferred_
-     *  instead (see DeferredAccounting). */
-    bool deferAccounting_ = false;
-    DeferredAccounting deferred_;
     /** Tracing attachment (set by MemorySystem::attachTrace). */
     TraceSink *trace_ = nullptr;
     const uint64_t *traceCycle_ = nullptr;
@@ -227,13 +184,10 @@ class MemoryPort
 };
 
 /** The timing model proper. */
-class SimThreadPool;
-
 class MemorySystem
 {
   public:
     explicit MemorySystem(const MemoryConfig &config = MemoryConfig());
-    ~MemorySystem();
 
     const MemoryConfig &config() const { return config_; }
 
@@ -259,9 +213,9 @@ class MemorySystem
      * @return the earliest future cycle at which this memory system can
      * change state or change its per-cycle stat accrual: a scheduled
      * head completing, an unscheduled head reaching its earliest
-     * grantable cycle (visible, bus and bank expired — conservative:
-     * it may still lose arbitration there), or a busy channel's data
-     * bus freeing up (which flips busy/idle accrual). Bank expiries are
+     * grantable cycle (bus and bank expired — conservative: it may
+     * still lose arbitration there), or a busy channel's data bus
+     * freeing up (which flips busy/idle accrual). Bank expiries are
      * folded into the grantable bound — a busy bank is only observable
      * through a blocked front head. Between now and the returned cycle
      * every tick() is a no-op apart from uniform per-cycle stat
@@ -269,25 +223,6 @@ class MemorySystem
      * nothing is pending.
      */
     uint64_t nextEventCycle() const;
-
-    /**
-     * Per-channel restriction of nextEventCycle(): the earliest future
-     * cycle at which `channel` can change state or change its stat
-     * accrual (a head destined for it completing or becoming grantable,
-     * its data bus freeing up). The global nextEventCycle() equals the
-     * minimum over all channels.
-     */
-    uint64_t nextEventCycle(int channel) const;
-
-    /**
-     * @return the earliest cycle at which any port can retire its head
-     * sub-request (minimum scheduled-head completion, at least cycle+1),
-     * or kNoEvent when no head is scheduled. Retirement is the only
-     * memory event lane modules can observe mid-cycle (read bytes, write
-     * high-water mark, issue credit), so the parallel scheduler caps its
-     * lookahead window strictly below this cycle (DESIGN.md §4f).
-     */
-    uint64_t earliestRetireCycle() const;
 
     /**
      * Jump the clock forward over a span that nextEventCycle() proved
@@ -303,81 +238,12 @@ class MemorySystem
      * Unlike fastForward() this accounts the skipped ticks itself, so
      * standalone drivers (bench/sim_membw's event-jump loop) stay
      * bit-identical to a tick-by-tick run without simulator help.
-     * Falls back to real ticks under tracing or deferred accounting.
+     * Falls back to real ticks under tracing.
      */
     void tickQuiet(uint64_t cycles);
 
     /** Redirect progress reporting to a simulator-owned counter. */
     void attachProgress(uint64_t *counter);
-
-    /**
-     * Set the worker budget for the channel-parallel tick: with more
-     * than one resolved worker (see sim::resolveMemWorkerCount — the
-     * GENESIS_SIM_MEM_THREADS / GENESIS_SIM_NO_MEM_THREADS knobs
-     * override `requested`), tick() farms the per-channel eligibility
-     * scan across a worker pool, one disjoint channel subset per worker,
-     * and serializes the arbitration grants, stat updates and
-     * retirements after the barrier in fixed channel/port order.
-     * Bit-identical to the sequential tick by construction; tracing
-     * forces the sequential tick. The environment is consulted here and
-     * at construction, not per tick.
-     */
-    void setMemThreads(int requested);
-    /** Resolved channel-scan worker count (1 = sequential tick). */
-    int memThreads() const { return memThreads_; }
-
-    /**
-     * Re-point one port's issue clock and progress counter at a lane
-     * shard's counters for the parallel scheduler's lookahead windows:
-     * issues stamp the shard's subcycle and bump the shard's progress
-     * directly (race-free — the port is exclusively that shard's).
-     * unbindPortScheduling() restores the defaults (restoreShards).
-     */
-    void bindPortScheduling(size_t port, const uint64_t *clock,
-                            uint64_t *progress);
-    void unbindPortScheduling();
-
-    /**
-     * RAII marker for the channel-parallel scan phase: while alive on a
-     * thread, that thread may only read state of `channel` — touching
-     * another channel's banks or issuing on any port panics
-     * deterministically (the cross-channel-touch guard of DESIGN.md
-     * §4f). Public so tests can drive the guard directly.
-     */
-    struct ChannelScanGuard {
-        explicit ChannelScanGuard(int channel);
-        ~ChannelScanGuard();
-        ChannelScanGuard(const ChannelScanGuard &) = delete;
-        ChannelScanGuard &operator=(const ChannelScanGuard &) = delete;
-
-      private:
-        int prev_;
-    };
-
-    /**
-     * Defer issue-side accounting for the lane-sharded parallel
-     * scheduler (DESIGN.md §4e). While deferred, MemoryPort::issue()
-     * stages its bumps of the system-global counters (requests,
-     * sub-requests, coalesces, pending/unscheduled totals, progress) in
-     * per-port accumulators, drained by the next tick() in port order on
-     * the control thread — issue() then touches only port-local state
-     * and may run concurrently across ports of different shards.
-     * Sequential runs keep the immediate accounting, so standalone
-     * behavior (tests reading stats between issue() and tick()) is
-     * untouched. Disabling drains any residue immediately.
-     */
-    void setDeferredAccounting(bool defer);
-
-    /**
-     * Ports that retired at least one sub-request during the last
-     * tick(), in port order. Tracked only while deferred accounting is
-     * on; the parallel scheduler uses it to re-scan exactly the shards
-     * whose modules may have observed a retirement.
-     */
-    const std::vector<size_t> &retiredPortsLastTick() const
-    {
-        return retiredPortsLastTick_;
-    }
 
     /**
      * Record memory activity into `sink` under process `pid`: one async
@@ -431,27 +297,15 @@ class MemorySystem
 
     void attachPortTrace(MemoryPort &port);
 
-    /** Fold every port's deferred issue accounting into the global
-     *  counters (port order; called from tick()'s prologue). */
-    void drainDeferredAccounting();
+    /** Grant at most one unscheduled head per free channel this cycle
+     *  (tick()'s scheduling phase). */
+    void arbitrate();
 
-    /**
-     * Phase A of the channel-parallel tick: read-only eligibility scan
-     * for one channel. Fills `elig[p]` (1 = port p's head is visible,
-     * unscheduled, on this channel, and its bank is free) and `conflict`
-     * (1 = some such head is blocked only by a busy bank). Writes
-     * nothing but this channel's scratch row, so scans of distinct
-     * channels are race-free; correctness of using pre-grant state is
-     * argued at the call site in tick().
-     */
-    void scanChannel(int ch, char *elig, char *conflict) const;
-
-    /** Sequential form of the bank-conflict accrual test for one
-     *  channel (must match scanChannel's `conflict` bit exactly). */
-    bool channelHasBankConflict(int ch) const;
-    /** channelHasBankConflict evaluated as-of memory cycle `at`
-     *  (tickQuiet evaluates the span's first skipped tick). */
-    bool channelHasBankConflictAt(int ch, uint64_t at) const;
+    /** True when some unscheduled head bound for `ch` waits only on a
+     *  bank still busy at memory cycle `at` (the bank-conflict stat
+     *  accrual: tick() asks about its own cycle, tickQuiet() about the
+     *  span's first skipped tick). */
+    bool channelHasBankConflict(int ch, uint64_t at) const;
 
     MemoryConfig config_;
     std::vector<std::unique_ptr<MemoryPort>> ports_;
@@ -467,14 +321,6 @@ class MemorySystem
     std::vector<RoundRobinArbiter> localArbiters_;
     /** Per-tick scratch: groups already granted a channel this cycle. */
     std::vector<char> groupUsedScratch_;
-    /** Channel-parallel scan budget (1 = sequential; see setMemThreads). */
-    int memThreads_ = 1;
-    /** Workers for the channel scan (created on first parallel tick). */
-    std::unique_ptr<SimThreadPool> memPool_;
-    /** Phase-A scratch: per-channel port-eligibility rows
-     *  (numChannels x numPorts) and per-channel conflict bits. */
-    std::vector<char> eligScratch_;
-    std::vector<char> conflictScratch_;
     /** Sub-requests in flight across all ports. Zero lets tick() skip
      *  arbitration, the bank-conflict scan and retirement entirely, so
      *  per-cycle memory cost tracks traffic rather than port count. */
@@ -482,10 +328,6 @@ class MemorySystem
     /** In-flight sub-requests not yet granted a channel slot; zero lets
      *  tick() skip the arbitration scan while transfers drain. */
     size_t unscheduledSubRequests_ = 0;
-    /** See setDeferredAccounting. */
-    bool deferAccounting_ = false;
-    /** Ports with retirements in the last tick (deferred mode only). */
-    std::vector<size_t> retiredPortsLastTick_;
     uint64_t cycle_ = 0;
     StatRegistry stats_;
     /** Interned hot-path stat handles. */

@@ -1,8 +1,5 @@
 #include "sim/module.h"
 
-#include "base/logging.h"
-#include "sim/parallel.h"
-
 namespace genesis::sim {
 
 void
@@ -10,16 +7,6 @@ Module::wake()
 {
     if (!asleep_)
         return;
-    // During a parallel phase a wake may only come from the module's own
-    // shard (a queue commit or hazard release inside its lane); wakes
-    // that cross shards — memory retirements — fire from the serialized
-    // control phase, where tlsCurrentShard is kNoShard.
-    if (tlsCurrentShard != kNoShard && tlsCurrentShard != shard_) {
-        panic("cross-shard wake of module '%s' (shard %d) from shard %d "
-              "during a parallel phase: lanes may only couple through "
-              "the memory system",
-              name_.c_str(), shard_, tlsCurrentShard);
-    }
     asleep_ = false;
     // Credit the slept span: a spinning module would have re-counted the
     // declared stall (and re-marked its trace span) on every cycle from

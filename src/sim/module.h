@@ -123,13 +123,6 @@ class Module
     size_t schedIndex() const { return schedIndex_; }
     void setSchedIndex(size_t index) { schedIndex_ = index; }
 
-    /** Shard of the owning pipeline lane (0 = lane-unaffiliated). Set by
-     *  the Simulator at creation; the parallel scheduler ticks the
-     *  module on this shard's worker and routes its wakes to this
-     *  shard's woken list. */
-    int shard() const { return shard_; }
-    void setShard(int shard) { shard_ = shard; }
-
     /** @return "queue a, queue b" — the awaited resources (diagnostics;
      *  empty when awake). */
     std::string sleepDescription() const;
@@ -250,8 +243,6 @@ class Module
     bool schedActive_ = false;
     bool schedDone_ = false;
     size_t schedIndex_ = 0;
-    /** Owning lane's shard (see setShard). */
-    int shard_ = 0;
     uint64_t sleepCycle_ = 0;
     StatHandle sleepStall_ = nullptr;
     std::vector<WaitList *> sleepLists_;

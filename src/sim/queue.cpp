@@ -6,14 +6,6 @@
 
 namespace genesis::sim {
 
-void
-HardwareQueue::panicCrossShard() const
-{
-    panic("queue '%s' (shard %d) staged from shard %d during a parallel "
-          "phase: lanes may only couple through the memory system",
-          name_.c_str(), shard_, tlsCurrentShard);
-}
-
 HardwareQueue::HardwareQueue(std::string name, size_t capacity)
     : name_(std::move(name)), capacity_(capacity)
 {

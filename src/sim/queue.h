@@ -18,7 +18,6 @@
 
 #include "base/trace.h"
 #include "sim/flit.h"
-#include "sim/parallel.h"
 #include "sim/wait.h"
 
 namespace genesis::sim {
@@ -84,12 +83,6 @@ class HardwareQueue
         dirtyList_ = dirty_list;
     }
 
-    /** Shard of the owning pipeline lane (0 = lane-unaffiliated). Set by
-     *  the Simulator at creation; under the parallel scheduler only this
-     *  shard's worker may stage operations during a parallel phase. */
-    void setShard(int shard) { shard_ = shard; }
-    int shard() const { return shard_; }
-
     /**
      * Record this queue's occupancy as a counter track under process
      * `pid` in `sink`, sampled on every committed operation (`cycle` is
@@ -117,24 +110,15 @@ class HardwareQueue
     WaitList &waiters() { return waiters_; }
 
   private:
-    /** Register on the owning simulator's dirty list (once per cycle).
-     *  Every staged operation funnels through here, making it the
-     *  chokepoint for the cross-shard access guard: staging from
-     *  another shard's worker during a parallel phase would be a data
-     *  race, so it panics deterministically instead. */
+    /** Register on the owning simulator's dirty list (once per cycle). */
     void
     markDirty()
     {
-        if (tlsCurrentShard != kNoShard && tlsCurrentShard != shard_)
-            panicCrossShard();
         if (!dirty_ && dirtyList_) {
             dirtyList_->push_back(this);
             dirty_ = true;
         }
     }
-
-    /** Cold path of the markDirty() guard (defined out of line). */
-    [[noreturn]] void panicCrossShard() const;
 
     std::string name_;
     size_t capacity_;
@@ -146,8 +130,6 @@ class HardwareQueue
     bool stagedClose_ = false;
     bool closed_ = false;
     bool dirty_ = false;
-    /** Owning lane's shard (see setShard). */
-    int shard_ = 0;
 
     /** Fallback target so standalone queues work without a Simulator. */
     uint64_t localProgress_ = 0;

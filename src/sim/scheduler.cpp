@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -10,21 +9,11 @@
 
 namespace genesis::sim {
 
-namespace {
-
-/** Default lookahead-window cap when parallel (see setWindowPolicy):
- *  comfortably above the typical row-hit latency clamp so the memory
- *  bound, not this constant, sizes most windows. */
-constexpr uint64_t kDefaultWindowLimit = 16;
-
-} // namespace
-
 Simulator::Simulator(const MemoryConfig &mem_config) : memory_(mem_config)
 {
     memory_.attachProgress(&progress_);
-    sleepEnabled_ = std::getenv("GENESIS_SIM_NO_SLEEP") == nullptr;
-    fastForwardEnabled_ = std::getenv("GENESIS_SIM_NO_FASTFORWARD") ==
-        nullptr;
+    sleepEnabled_ = !envFlag("GENESIS_SIM_NO_SLEEP");
+    fastForwardEnabled_ = !envFlag("GENESIS_SIM_NO_FASTFORWARD");
 }
 
 HardwareQueue *
@@ -32,47 +21,9 @@ Simulator::makeQueue(const std::string &name, size_t capacity)
 {
     queues_.push_back(std::make_unique<HardwareQueue>(name, capacity));
     queues_.back()->attachSimulator(&progress_, &dirtyQueues_);
-    queues_.back()->setShard(currentShard());
-    queues_.back()->waiters().setShard(currentShard());
-    noteComponentShard(currentShard(), /*is_module=*/false);
     if (trace_)
         queues_.back()->attachTrace(trace_, &cycle_, tracePid_);
     return queues_.back().get();
-}
-
-MemoryPort *
-Simulator::makePort(int local_group)
-{
-    MemoryPort *port = memory_.makePort(local_group);
-    const int shard = currentShard();
-    port->setShard(shard);
-    port->retireWaiters().setShard(shard);
-    if (portShards_.size() <= static_cast<size_t>(port->id()))
-        portShards_.resize(static_cast<size_t>(port->id()) + 1, -1);
-    portShards_[static_cast<size_t>(port->id())] = shard;
-    noteComponentShard(shard, /*is_module=*/false);
-    return port;
-}
-
-void
-Simulator::noteComponentShard(int shard, bool is_module)
-{
-    const size_t s = static_cast<size_t>(shard);
-    shardCount_ = std::max(shardCount_, s + 1);
-    if (is_module) {
-        if (shardModuleCounts_.size() <= s)
-            shardModuleCounts_.resize(s + 1, 0);
-        ++shardModuleCounts_[s];
-    }
-}
-
-int
-Simulator::populatedShards() const
-{
-    int populated = 0;
-    for (uint32_t count : shardModuleCounts_)
-        populated += count != 0;
-    return populated;
 }
 
 Scratchpad *
@@ -81,8 +32,6 @@ Simulator::makeScratchpad(const std::string &name, size_t size_words,
 {
     scratchpads_.push_back(
         std::make_unique<Scratchpad>(name, size_words, word_bytes));
-    scratchpads_.back()->hazardWaiters().setShard(currentShard());
-    noteComponentShard(currentShard(), /*is_module=*/false);
     if (trace_)
         scratchpads_.back()->attachTrace(trace_, &cycle_, tracePid_);
     return scratchpads_.back().get();
@@ -204,390 +153,10 @@ Simulator::creditSkippedCycles(uint64_t times)
     memory_.stats().creditDelta(statSnapshots_[i++], times);
 }
 
-void
-Simulator::splitShards()
-{
-    GENESIS_ASSERT(woken_.empty() && dirtyQueues_.empty(),
-                   "shard split mid-cycle");
-    shards_.clear();
-    shards_.reserve(shardCount_);
-    for (size_t s = 0; s < shardCount_; ++s) {
-        shards_.push_back(std::make_unique<Shard>());
-        shards_.back()->cycle = cycle_;
-    }
-    for (auto &m : modules_) {
-        Shard &sh = *shards_[static_cast<size_t>(m->shard())];
-        m->attachProgress(&sh.progress);
-        // The shard's clock, not the global one: during a lookahead
-        // window the worker advances it per subcycle so sleep spans and
-        // issue stamps land on the exact sequential cycle.
-        m->attachScheduler(&sh.cycle, &sh.woken, sleepEnabled_);
-    }
-    // active_ is sorted by schedIndex, so each shard's projection of it
-    // is too: per-shard tick order matches the sequential tick order
-    // restricted to that shard's modules.
-    for (Module *m : active_)
-        shards_[static_cast<size_t>(m->shard())]->active.push_back(m);
-    active_.clear();
-    for (auto &q : queues_) {
-        Shard &sh = *shards_[static_cast<size_t>(q->shard())];
-        q->attachSimulator(&sh.progress, &sh.dirtyQueues);
-    }
-    memory_.setDeferredAccounting(true);
-    // Lookahead windows need every memory port's issues stamped with its
-    // lane's subcycle clock; a port created behind the Simulator's back
-    // (memory().makePort()) has unknown lane affinity, so its presence
-    // forces single-cycle barriers.
-    windowCapable_ = portShards_.size() == memory_.numPorts();
-    for (int shard : portShards_) {
-        if (shard < 0)
-            windowCapable_ = false;
-    }
-    if (windowCapable_) {
-        for (size_t i = 0; i < portShards_.size(); ++i) {
-            Shard &sh = *shards_[static_cast<size_t>(portShards_[i])];
-            memory_.bindPortScheduling(i, &sh.cycle, &sh.progress);
-        }
-    }
-}
-
-void
-Simulator::restoreShards()
-{
-    for (auto &m : modules_) {
-        m->attachProgress(&progress_);
-        m->attachScheduler(&cycle_, &woken_, sleepEnabled_);
-    }
-    for (auto &q : queues_)
-        q->attachSimulator(&progress_, &dirtyQueues_);
-    for (auto &sh : shards_) {
-        // Residual deltas are zero after a completed cycle; fold them
-        // anyway so a panic unwind (deadlock mid-cycle) still leaves the
-        // counters coherent.
-        progress_ += sh->progress;
-        doneCount_ += sh->doneDelta;
-        active_.insert(active_.end(), sh->active.begin(),
-                       sh->active.end());
-        woken_.insert(woken_.end(), sh->woken.begin(), sh->woken.end());
-    }
-    std::sort(active_.begin(), active_.end(),
-              [](const Module *a, const Module *b) {
-                  return a->schedIndex() < b->schedIndex();
-              });
-    memory_.unbindPortScheduling();
-    windowCapable_ = false;
-    memory_.setDeferredAccounting(false);
-    shards_.clear();
-}
-
-void
-Simulator::latchAndCompact(Shard &sh, size_t *done_accum)
-{
-    bool compact = false;
-    for (Module *m : sh.active) {
-        if (!m->schedDone() && m->done()) {
-            m->setSchedDone(true);
-            ++*done_accum;
-        }
-        if (m->asleep() || m->schedDone())
-            compact = true;
-    }
-    if (!compact)
-        return;
-    size_t out = 0;
-    for (Module *m : sh.active) {
-        if (m->asleep() || m->schedDone()) {
-            m->setSchedActive(false);
-            continue;
-        }
-        sh.active[out++] = m;
-    }
-    sh.active.resize(out);
-}
-
-void
-Simulator::rescanRetiredShards()
-{
-    const std::vector<size_t> &retired = memory_.retiredPortsLastTick();
-    if (retired.empty())
-        return;
-    rescanMarks_.assign(shards_.size(), 0);
-    bool scan_all = false;
-    for (size_t port_id : retired) {
-        int shard =
-            port_id < portShards_.size() ? portShards_[port_id] : -1;
-        if (shard < 0) {
-            // Port created outside Simulator::makePort — unknown lane
-            // affinity, so conservatively rescan everything.
-            scan_all = true;
-            break;
-        }
-        rescanMarks_[static_cast<size_t>(shard)] = 1;
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        if (scan_all || rescanMarks_[s])
-            latchAndCompact(*shards_[s], &doneCount_);
-    }
-}
-
-void
-Simulator::mergeShardWoken(Shard &sh, size_t *done_accum)
-{
-    if (sh.woken.empty())
-        return;
-    size_t keep = 0;
-    for (Module *m : sh.woken) {
-        if (!m->schedDone() && m->done()) {
-            m->setSchedDone(true);
-            ++*done_accum;
-        }
-        if (m->schedDone() || m->schedActive())
-            continue;
-        sh.woken[keep++] = m;
-    }
-    sh.woken.resize(keep);
-    if (!sh.woken.empty()) {
-        auto by_index = [](const Module *a, const Module *b) {
-            return a->schedIndex() < b->schedIndex();
-        };
-        std::sort(sh.woken.begin(), sh.woken.end(), by_index);
-        sh.mergeScratch.clear();
-        sh.mergeScratch.reserve(sh.active.size() + sh.woken.size());
-        std::merge(sh.active.begin(), sh.active.end(), sh.woken.begin(),
-                   sh.woken.end(), std::back_inserter(sh.mergeScratch),
-                   by_index);
-        sh.active.swap(sh.mergeScratch);
-        for (Module *m : sh.woken)
-            m->setSchedActive(true);
-    }
-    sh.woken.clear();
-}
-
-void
-Simulator::stepParallel()
-{
-    // Parallel phase: every shard ticks its active modules (schedIndex
-    // order), commits its own staged queues, and pre-compacts its active
-    // list. Shards share no mutable state — cross-shard touches panic
-    // via the tlsCurrentShard guards — so any interleaving produces the
-    // same result as the sequential tick order.
-    pool_->run(shards_.size(), [this](size_t s) {
-        tlsCurrentShard = static_cast<int>(s);
-        Shard &sh = *shards_[s];
-        try {
-            // Sync the shard clock: modules and bound ports read it, and
-            // a preceding fast-forward or window may have left it behind.
-            sh.cycle = cycle_;
-            for (Module *m : sh.active)
-                m->tick();
-            for (auto *q : sh.dirtyQueues)
-                q->commit();
-            sh.dirtyQueues.clear();
-            latchAndCompact(sh, &sh.doneDelta);
-        } catch (...) {
-            tlsCurrentShard = kNoShard;
-            throw;
-        }
-        tlsCurrentShard = kNoShard;
-    });
-
-    // Control phase (single thread): reduce the shard deltas — additive,
-    // so the reduction order cannot affect the result — then advance the
-    // memory system exactly as the sequential scheduler would.
-    for (auto &sh : shards_) {
-        progress_ += sh->progress;
-        sh->progress = 0;
-        doneCount_ += sh->doneDelta;
-        sh->doneDelta = 0;
-    }
-    memory_.tick();
-    // Retirements during the memory tick are the only post-barrier
-    // events that can flip a lane module's done(); re-latch exactly the
-    // affected shards so completion lands on the same cycle as a
-    // sequential run. Retire wakes were routed to each sleeper's own
-    // shard's woken list; merge them back in schedIndex order.
-    rescanRetiredShards();
-    for (auto &sh : shards_)
-        mergeShardWoken(*sh, &doneCount_);
-    ++cycle_;
-}
-
-uint64_t
-Simulator::chooseWindow(uint64_t max_cycles, uint64_t deadlock_horizon,
-                        uint64_t quiet_cycles) const
-{
-    uint64_t w = windowLimit_;
-    // Nothing a lane module can observe may change mid-window, and the
-    // only mid-cycle-observable memory event is a retirement (read
-    // bytes, write high-water mark, issue credit — all frozen between
-    // retirements). Already-scheduled heads retire no earlier than
-    // earliestRetireCycle(); a head granted during the window's replay
-    // (memory cycle >= cycle_+1) completes no earlier than
-    // cycle_ + 1 + rowHitLatency + 1. Cap the window so both land on or
-    // after its last cycle's memory tick.
-    uint64_t retire = memory_.earliestRetireCycle();
-    if (retire != MemorySystem::kNoEvent)
-        w = std::min(w, retire - cycle_);
-    w = std::min(w,
-                 2 + static_cast<uint64_t>(
-                         memory_.config().rowHitLatencyCycles));
-    // Panic exactness: the runaway check fires at cycle_ == max_cycles
-    // and the deadlock horizon on the cycle quiet_cycles first exceeds
-    // it, both of which a window may reach only on its last subcycle.
-    w = std::min(w, max_cycles - cycle_);
-    w = std::min(w, deadlock_horizon + 1 - quiet_cycles);
-    return std::max<uint64_t>(w, 1);
-}
-
-uint64_t
-Simulator::stepParallelWindow(uint64_t window)
-{
-    const uint64_t base = cycle_;
-    windowDeltas_.assign(window, 0);
-
-    // Parallel phase: every shard runs all `window` subcycles
-    // back-to-back — ticks, commits, compaction and its own wake merges
-    // — against frozen memory state, recording cumulative progress and
-    // active-list emptiness after each subcycle.
-    pool_->run(shards_.size(), [this, window, base](size_t s) {
-        tlsCurrentShard = static_cast<int>(s);
-        Shard &sh = *shards_[s];
-        try {
-            sh.cycle = base;
-            sh.progressBySub.assign(window, 0);
-            sh.emptyBySub.assign(window, 0);
-            for (uint64_t j = 0; j < window; ++j) {
-                if (j)
-                    ++sh.cycle;
-                for (Module *m : sh.active)
-                    m->tick();
-                for (auto *q : sh.dirtyQueues)
-                    q->commit();
-                sh.dirtyQueues.clear();
-                latchAndCompact(sh, &sh.doneDelta);
-                mergeShardWoken(sh, &sh.doneDelta);
-                sh.progressBySub[j] = sh.progress;
-                sh.emptyBySub[j] = sh.active.empty() ? 1 : 0;
-            }
-        } catch (...) {
-            tlsCurrentShard = kNoShard;
-            throw;
-        }
-        tlsCurrentShard = kNoShard;
-    });
-
-    // Truncate at the first subcycle after which every shard's active
-    // list was empty: the overshoot subcycles were provable no-ops (an
-    // empty shard cannot commit, issue or wake anything), and ending the
-    // window there keeps the provable-deadlock probe and the completion
-    // check on the exact cycle a sequential run would report.
-    uint64_t effective = window;
-    for (uint64_t j = 0; j < window; ++j) {
-        bool all_empty = true;
-        for (const auto &sh : shards_) {
-            if (!sh->emptyBySub[j]) {
-                all_empty = false;
-                break;
-            }
-        }
-        if (all_empty) {
-            effective = j + 1;
-            break;
-        }
-    }
-
-    // Reduce the shard deltas (additive, order-free) and difference the
-    // cumulative progress curves into per-cycle deltas for the quiet
-    // machine. Past the truncation point the curves are flat, so the
-    // shard total equals the cumulative value at the last kept subcycle.
-    for (auto &sh : shards_) {
-        uint64_t prev = 0;
-        for (uint64_t j = 0; j < effective; ++j) {
-            windowDeltas_[j] += sh->progressBySub[j] - prev;
-            prev = sh->progressBySub[j];
-        }
-        progress_ += sh->progress;
-        sh->progress = 0;
-        doneCount_ += sh->doneDelta;
-        sh->doneDelta = 0;
-        // Pin the shard clock to the window's last cycle so retire-wake
-        // stall credits (read on the control thread below) match the
-        // cycle a sequential run would wake the sleeper on.
-        sh->cycle = base + effective - 1;
-    }
-
-    // Control phase: replay the memory ticks the window deferred. Each
-    // tick advances the memory clock one cycle and arbitrates exactly
-    // the sub-requests whose issue stamps have become visible, so
-    // arbitration order, bank/bus state and every stat match a
-    // cycle-by-cycle run; the window size guarantees retirements can
-    // land only on the final tick.
-    for (uint64_t j = 0; j < effective; ++j) {
-        uint64_t before = progress_;
-        memory_.tick();
-        windowDeltas_[j] += progress_ - before;
-    }
-    rescanRetiredShards();
-    for (auto &sh : shards_)
-        mergeShardWoken(*sh, &doneCount_);
-    cycle_ = base + effective;
-    windowDeltas_.resize(effective);
-    return effective;
-}
-
-bool
-Simulator::noModuleActive(bool parallel) const
-{
-    if (!parallel)
-        return active_.empty();
-    for (const auto &sh : shards_) {
-        if (!sh->active.empty())
-            return false;
-    }
-    return true;
-}
-
 uint64_t
 Simulator::run(uint64_t max_cycles)
 {
     finished_.store(false, std::memory_order_relaxed);
-    int workers = 1;
-    if (!trace_) {
-        // Tracing forces the sequential scheduler: the TraceSink is
-        // single-writer (DESIGN.md §7). Simulated results are identical
-        // either way.
-        workers = resolveWorkerCount(threadPolicy_, populatedShards());
-    }
-    lastRunWorkers_ = workers;
-    windowLimit_ = 1;
-    if (workers > 1) {
-        // Lookahead-window cap (DESIGN.md §4f): configured request, env
-        // override, 0 = auto. Meaningless when sequential — there is no
-        // barrier to amortize — so it is resolved only here.
-        int64_t w = envInt64("GENESIS_SIM_WINDOW",
-                             windowRequest_ > 0 ? windowRequest_ : 0, 0,
-                             4096);
-        windowLimit_ =
-            w == 0 ? kDefaultWindowLimit : static_cast<uint64_t>(w);
-    }
-    if (workers <= 1)
-        return runLoop(max_cycles, /*parallel=*/false);
-
-    if (!pool_ || pool_->helpers() != workers - 1)
-        pool_ = std::make_unique<SimThreadPool>(workers - 1);
-    splitShards();
-    // Restore the sequential view however the loop exits — completion
-    // or a deadlock/runaway panic unwinding to the caller.
-    struct Restore {
-        Simulator &sim;
-        ~Restore() { sim.restoreShards(); }
-    } restore{*this};
-    return runLoop(max_cycles, /*parallel=*/true);
-}
-
-uint64_t
-Simulator::runLoop(uint64_t max_cycles, bool parallel)
-{
     // Deadlock horizon: generously above the worst legitimate quiet
     // period (memory latency plus arbitration backlog).
     const uint64_t deadlock_horizon =
@@ -601,64 +170,30 @@ Simulator::runLoop(uint64_t max_cycles, bool parallel)
                   static_cast<unsigned long long>(max_cycles),
                   dumpState().c_str());
         }
-        uint64_t stepped = 1;
-        if (!parallel) {
-            step();
-        } else if (windowCapable_ && windowLimit_ > 1) {
-            // Memory-quiet lookahead window (DESIGN.md §4f): cover as
-            // many cycles per barrier as the memory system provably
-            // cannot interrupt, then replay its ticks serially.
-            uint64_t w = chooseWindow(max_cycles, deadlock_horizon,
-                                      quiet_cycles);
-            if (w > 1)
-                stepped = stepParallelWindow(w);
-            else
-                stepParallel();
-        } else {
-            stepParallel();
-        }
+        step();
         // Provable deadlock: every live module is asleep and the memory
         // system has no pending event, so no wake can ever fire. Report
         // immediately instead of waiting out the quiet horizon. (Under
         // GENESIS_SIM_NO_SLEEP modules never sleep, so a wedged design
-        // falls through to the horizon path below, as before. A window
-        // truncates at its first all-asleep subcycle, so this still
-        // fires on the exact sequential cycle.)
-        if (noModuleActive(parallel) && !allDone() &&
+        // falls through to the horizon path below, as before.)
+        if (active_.empty() && !allDone() &&
             memory_.nextEventCycle() == MemorySystem::kNoEvent) {
             panic("deadlock: no module can ever wake (all asleep, no "
                   "pending memory event)\n%s",
                   dumpState().c_str());
         }
-        bool progressed_last;
-        if (stepped == 1) {
-            progressed_last = progress_ != last_progress;
-            if (progressed_last)
-                quiet_cycles = 0;
-            else
-                ++quiet_cycles;
-        } else {
-            // Replay the quiet machine per window subcycle so the
-            // horizon counts the exact cycles a one-cycle-at-a-time run
-            // would have counted (chooseWindow caps the window so the
-            // horizon can first be exceeded only on the last subcycle).
-            for (uint64_t j = 0; j < stepped; ++j) {
-                if (windowDeltas_[j])
-                    quiet_cycles = 0;
-                else
-                    ++quiet_cycles;
-            }
-            progressed_last = windowDeltas_[stepped - 1] != 0;
-        }
+        const bool progressed = progress_ != last_progress;
         last_progress = progress_;
+        if (progressed)
+            quiet_cycles = 0;
+        else
+            ++quiet_cycles;
         if (quiet_cycles > deadlock_horizon) {
             panic("deadlock: no progress for %llu cycles\n%s",
                   static_cast<unsigned long long>(quiet_cycles),
                   dumpState().c_str());
         }
-        if (progressed_last)
-            continue;
-        if (!fastForwardEnabled_)
+        if (progressed || !fastForwardEnabled_)
             continue;
 
         // The cycle was idle: nothing committed, issued, scheduled,
@@ -674,10 +209,7 @@ Simulator::runLoop(uint64_t max_cycles, bool parallel)
         // exact per-cycle stat deltas — each module's stall buckets and
         // the memory system's idle-channel accrual.
         snapshotStats();
-        if (parallel)
-            stepParallel();
-        else
-            step();
+        step();
         if (progress_ != last_progress) {
             // Defensive: a module made silent progress without honoring
             // the noteProgress() contract. Fall back to cycle-by-cycle.
@@ -758,10 +290,6 @@ Simulator::dumpState() const
     // A wedged design must still have coherent accounting: every channel
     // accrues exactly one of busy/idle per cycle, ticked or skipped.
     memory_.assertStatInvariant();
-    // Deterministic under sharding: modules_ and queues_ iterate in
-    // insertion order — lane-major, since pipelines are built one at a
-    // time — and every stat read here is bit-identical to a sequential
-    // run, so the report matches at any worker count.
     std::ostringstream os;
     os << "cycle " << cycle_ << "\n";
     for (const auto &m : modules_) {

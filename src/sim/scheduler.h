@@ -18,7 +18,6 @@
 
 #include "sim/memory.h"
 #include "sim/module.h"
-#include "sim/parallel.h"
 #include "sim/queue.h"
 #include "sim/spm.h"
 
@@ -55,17 +54,11 @@ namespace genesis::sim {
  * fire a wake — and is reported immediately instead of after the
  * multi-thousand-cycle quiet horizon.
  *
- * Parallel execution (DESIGN.md §4e): when a design has two or more
- * populated pipeline-lane shards and the resolved thread policy grants
- * more than one worker (RuntimeConfig::simThreads / GENESIS_SIM_THREADS;
- * GENESIS_SIM_NO_THREADS=1 forces one), run() shards the cycle loop by
- * lane: each worker ticks one shard's active set and commits that
- * shard's dirty queues, then a barrier hands control to a single thread
- * for the memory tick, cross-shard wake delivery and every scheduling
- * decision (deadlock, fast-forward, completion). Cycles, statistics and
- * traces are bit-identical to the sequential scheduler for any thread
- * count. Attaching a trace forces the sequential scheduler (the
- * TraceSink is single-writer, DESIGN.md §7).
+ * The simulator runs on the thread that calls run() (DESIGN.md §4e).
+ * Replicated pipelines are modeled cycle by cycle behind the memory
+ * arbiters, so host threads could change only host time, never a
+ * simulated number; host concurrency lives above the simulator
+ * (BatchRunner lanes, service worker slots, DSE point farming).
  */
 class Simulator
 {
@@ -84,75 +77,6 @@ class Simulator
     Scratchpad *makeScratchpad(const std::string &name, size_t size_words,
                                uint32_t word_bytes = 8);
 
-    /**
-     * Create a memory port in `local_group`'s arbiter group, stamped
-     * with the current build lane's shard (PipelineBuilder routes port
-     * creation through here so the parallel scheduler knows which lane a
-     * retirement can affect). memory().makePort() remains valid for
-     * lane-unaffiliated ports.
-     */
-    MemoryPort *makePort(int local_group = 0);
-
-    /**
-     * Scoped build lane: components created while a scope is open belong
-     * to that pipeline lane's shard (shard = lane + 1; components built
-     * outside any scope fall into shard 0). PipelineBuilder opens one
-     * around every component it creates.
-     */
-    class LaneScope
-    {
-      public:
-        LaneScope(Simulator &sim, int lane)
-            : sim_(sim), prev_(sim.buildLane_)
-        {
-            sim_.buildLane_ = lane;
-        }
-        ~LaneScope() { sim_.buildLane_ = prev_; }
-
-        LaneScope(const LaneScope &) = delete;
-        LaneScope &operator=(const LaneScope &) = delete;
-
-      private:
-        Simulator &sim_;
-        int prev_;
-    };
-
-    /** Shard components created right now would land in. */
-    int currentShard() const
-    {
-        return buildLane_ < 0 ? 0 : buildLane_ + 1;
-    }
-
-    /**
-     * Configure how many worker threads run() may use (0 = auto). The
-     * GENESIS_SIM_THREADS / GENESIS_SIM_NO_THREADS environment variables
-     * override it at run() time; see sim/parallel.h for the full
-     * budget-resolution policy.
-     */
-    void setThreadPolicy(const ThreadPolicy &policy)
-    {
-        threadPolicy_ = policy;
-    }
-    const ThreadPolicy &threadPolicy() const { return threadPolicy_; }
-
-    /** Worker threads the last run() actually used (1 = sequential). */
-    int lastRunWorkers() const { return lastRunWorkers_; }
-
-    /**
-     * Configure the lookahead-window cap for parallel runs (DESIGN.md
-     * §4f): when the control phase can prove the memory system stays
-     * quiet for k cycles, lane shards tick up to min(k, cap) cycles
-     * between barriers. 0 = auto (the built-in default), 1 = windows off
-     * (every barrier covers one cycle, the pre-window behavior). The
-     * GENESIS_SIM_WINDOW environment variable overrides it at run()
-     * time. Simulated cycles, statistics and traces are bit-identical at
-     * any value; sequential runs ignore it.
-     */
-    void setWindowPolicy(int window) { windowRequest_ = window; }
-
-    /** Resolved window cap of the last run() (1 = windows off). */
-    uint64_t lastRunWindowLimit() const { return windowLimit_; }
-
     /** Take ownership of a module; returns a borrowed pointer. */
     template <typename T>
     T *
@@ -162,8 +86,6 @@ class Simulator
         raw->attachProgress(&progress_);
         raw->attachScheduler(&cycle_, &woken_, sleepEnabled_);
         raw->setSchedIndex(modules_.size());
-        raw->setShard(currentShard());
-        noteComponentShard(raw->shard(), /*is_module=*/true);
         if (trace_)
             raw->attachTrace(trace_, &cycle_, tracePid_);
         modules_.push_back(std::move(module));
@@ -257,43 +179,6 @@ class Simulator
     TraceSink *trace() { return trace_; }
 
   private:
-    /**
-     * One pipeline lane's slice of the scheduler state while run() is
-     * parallel (see splitShards): the lane's active list, its staged
-     * wakes and dirty queues, and the progress/done deltas its worker
-     * accumulates for the barrier reduction. Cache-line aligned so two
-     * workers never false-share their hot counters.
-     */
-    struct alignas(64) Shard {
-        /** Modules ticked by this shard's worker, in schedIndex order. */
-        std::vector<Module *> active;
-        /** Wakes staged for this shard: by its own worker during the
-         *  parallel phase, by the control thread (memory retirements)
-         *  during the serialized phase. */
-        std::vector<Module *> woken;
-        /** Scratch for the active/woken order-preserving merge. */
-        std::vector<Module *> mergeScratch;
-        /** Queues of this shard with operations staged this cycle. */
-        std::vector<HardwareQueue *> dirtyQueues;
-        /** Progress events this cycle (reduced at the barrier). */
-        uint64_t progress = 0;
-        /** Modules newly latched done (reduced at the barrier). */
-        size_t doneDelta = 0;
-        /** This shard's view of the simulator clock. Modules and memory
-         *  ports of the shard read it (stall spans, issue stamps), so
-         *  during a lookahead window the worker advances it one subcycle
-         *  at a time while the global cycle_ waits at the barrier. */
-        uint64_t cycle = 0;
-        /** Cumulative shard progress after each window subcycle (the
-         *  control phase differences them into per-cycle deltas). */
-        std::vector<uint64_t> progressBySub;
-        /** 1 when the shard's active list was empty after the subcycle
-         *  (the control phase truncates the window at the first subcycle
-         *  where every shard reports empty, keeping the provable-deadlock
-         *  probe on the exact sequential cycle). */
-        std::vector<char> emptyBySub;
-    };
-
     /** Latch a freshly-done module (advances the allDone() count). */
     void
     maybeLatchDone(Module *m)
@@ -307,72 +192,6 @@ class Simulator
     /** Drop asleep/done modules from active_, merge woken_ back in
      *  (tick order preserved), and latch newly-done modules. */
     void updateActiveSet();
-
-    /** Record a component's shard for worker sizing / shard layout. */
-    void noteComponentShard(int shard, bool is_module);
-
-    /** Shards that own at least one module. */
-    int populatedShards() const;
-
-    /** Partition the scheduler state into per-lane shards and re-point
-     *  every module/queue at its shard's counters. */
-    void splitShards();
-
-    /** Undo splitShards: fold shard state back into the sequential
-     *  single-list view (active list re-sorted by schedIndex). */
-    void restoreShards();
-
-    /** The body of run(): the sequential loop, with step()/active-set
-     *  probes dispatched to the parallel variants when `parallel`. */
-    uint64_t runLoop(uint64_t max_cycles, bool parallel);
-
-    /** Parallel-phase tick + barrier + serialized control phase. */
-    void stepParallel();
-
-    /** Per-shard half of updateActiveSet(): latch done() on the ticked
-     *  modules and compact asleep/done entries out of the active list.
-     *  Newly latched modules are counted into *done_accum (the shard
-     *  delta on workers, doneCount_ on the control thread). */
-    static void latchAndCompact(Shard &sh, size_t *done_accum);
-
-    /** Re-run latchAndCompact for the shards whose ports retired a
-     *  sub-request in the memory tick just executed: a retirement is the
-     *  only post-barrier event that can flip a lane module's done(). */
-    void rescanRetiredShards();
-
-    /** Per-shard second half of updateActiveSet(): merge the shard's
-     *  woken modules back into its active list (schedIndex order).
-     *  Static like latchAndCompact so window subcycles may run it on the
-     *  shard's worker; newly latched modules count into *done_accum (the
-     *  shard delta on workers, doneCount_ on the control thread). */
-    static void mergeShardWoken(Shard &sh, size_t *done_accum);
-
-    /**
-     * One barrier-amortized parallel step covering up to `window`
-     * consecutive cycles (DESIGN.md §4f). Workers tick their shard's
-     * modules for every subcycle back-to-back — legal because the window
-     * was sized so the memory system cannot retire anything before its
-     * last cycle, so nothing a lane module can observe changes mid-window
-     * — then the control phase replays the deferred memory ticks
-     * cycle-by-cycle and truncates at the first subcycle after which
-     * every shard went empty. @return cycles actually covered (>= 1);
-     * per-cycle progress deltas land in windowDeltas_[0..effective).
-     */
-    uint64_t stepParallelWindow(uint64_t window);
-
-    /**
-     * Largest window the next parallel step may cover while staying
-     * bit-identical and panic-exact: capped by the configured limit, the
-     * earliest possible retirement (pre-scheduled heads via
-     * earliestRetireCycle(), hypothetical new grants via the row-hit
-     * latency), the runaway-cycle cap, and the deadlock horizon.
-     */
-    uint64_t chooseWindow(uint64_t max_cycles, uint64_t deadlock_horizon,
-                          uint64_t quiet_cycles) const;
-
-    /** @return true when no shard (or the sequential list) has an
-     *  active module (the provable-deadlock probe). */
-    bool noModuleActive(bool parallel) const;
 
     /** Snapshot all stat registries (modules, memory, scratchpads). */
     void snapshotStats();
@@ -416,37 +235,6 @@ class Simulator
     /** Tracing attachment (null = disabled; see attachTrace). */
     TraceSink *trace_ = nullptr;
     int tracePid_ = -1;
-    /** Lane being built (set by LaneScope; -1 = unaffiliated). */
-    int buildLane_ = -1;
-    /** Per-shard module counts (index = shard id; sizes the split). */
-    std::vector<uint32_t> shardModuleCounts_;
-    /** Shards any component (module/queue/port) has been stamped with. */
-    size_t shardCount_ = 1;
-    /** Shard of each memory port by port id (-1 = created outside
-     *  Simulator::makePort; forces a conservative full rescan). */
-    std::vector<int> portShards_;
-    /** Worker-thread request (see setThreadPolicy). */
-    ThreadPolicy threadPolicy_;
-    /** Workers the last run() used (see lastRunWorkers). */
-    int lastRunWorkers_ = 1;
-    /** Lookahead-window request (see setWindowPolicy; 0 = auto). */
-    int windowRequest_ = 0;
-    /** Resolved per-run window cap (1 = windows off). */
-    uint64_t windowLimit_ = 1;
-    /** True while shards are split AND every memory port has a known
-     *  lane shard, so port issue clocks/progress could be bound to their
-     *  shards (splitShards). A port created behind the Simulator's back
-     *  has unknown affinity and forces single-cycle barriers. */
-    bool windowCapable_ = false;
-    /** Per-cycle progress deltas of the last stepParallelWindow. */
-    std::vector<uint64_t> windowDeltas_;
-    /** Per-lane scheduler state while run() is parallel (empty when
-     *  sequential; unique_ptr keeps shard addresses stable). */
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Scratch flags for rescanRetiredShards. */
-    std::vector<char> rescanMarks_;
-    /** Persistent worker pool (created on first parallel run). */
-    std::unique_ptr<SimThreadPool> pool_;
 };
 
 } // namespace genesis::sim

@@ -2,21 +2,13 @@
 
 #include <algorithm>
 
-#include "base/logging.h"
 #include "sim/module.h"
-#include "sim/parallel.h"
 
 namespace genesis::sim {
 
 void
 WaitList::add(Module *m)
 {
-    if (tlsCurrentShard != kNoShard && tlsCurrentShard != shard_) {
-        panic("cross-shard sleep on '%s' (owner shard %d) from shard %d "
-              "during a parallel phase: lanes may only couple through "
-              "the memory system",
-              name_.c_str(), shard_, tlsCurrentShard);
-    }
     if (std::find(waiters_.begin(), waiters_.end(), m) == waiters_.end())
         waiters_.push_back(m);
 }

@@ -10,15 +10,8 @@
  * every registered sleeper (see Module::wake for the stall/trace
  * crediting that keeps sleeping bit-identical to spinning).
  *
- * Threading: a wait list is touched by exactly one thread at a time.
- * Under the sequential scheduler that is the thread running
- * Simulator::run()/step(). Under the lane-sharded parallel scheduler
- * (DESIGN.md §4e) a list belongs to its owning resource's shard: during
- * a parallel phase only that shard's worker may register sleepers
- * (add() panics on a cross-shard registration — it would be a data
- * race), and lists fired from the serialized control phase (memory-port
- * retirements) may wake sleepers of any shard because no worker runs
- * concurrently.
+ * Threading: a wait list is touched only by the thread running
+ * Simulator::run()/step().
  */
 
 #ifndef GENESIS_SIM_WAIT_H
@@ -53,16 +46,9 @@ class WaitList
     void setName(std::string name) { name_ = std::move(name); }
     const std::string &name() const { return name_; }
 
-    /** Shard of the owning resource (see the threading contract above).
-     *  Set by the Simulator when the resource is created. */
-    void setShard(int shard) { shard_ = shard; }
-    int shard() const { return shard_; }
-
   private:
     std::vector<Module *> waiters_;
     std::string name_;
-    /** Owning resource's shard (0 = lane-unaffiliated). */
-    int shard_ = 0;
 };
 
 } // namespace genesis::sim

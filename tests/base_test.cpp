@@ -121,6 +121,38 @@ TEST(Env, OutOfRangeValueFallsBack)
     setQuiet(false);
 }
 
+TEST(Env, FlagUnsetEmptyOrZeroIsFalse)
+{
+    ::unsetenv("GENESIS_TEST_FLAG");
+    EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    {
+        ScopedEnv env("GENESIS_TEST_FLAG", "");
+        EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    }
+    {
+        ScopedEnv env("GENESIS_TEST_FLAG", "0");
+        EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    }
+}
+
+TEST(Env, FlagOneIsTrue)
+{
+    ScopedEnv env("GENESIS_TEST_FLAG", "1");
+    EXPECT_TRUE(envFlag("GENESIS_TEST_FLAG"));
+}
+
+TEST(Env, FlagOtherValuesWarnAndAreFalse)
+{
+    // Only the exact strings "0" and "1" are flags; anything else is a
+    // typo that warns and leaves the feature on.
+    setQuiet(true);
+    for (const char *value : {"yes", "true", "2", " 1", "01"}) {
+        ScopedEnv env("GENESIS_TEST_FLAG", value);
+        EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG")) << value;
+    }
+    setQuiet(false);
+}
+
 TEST(Logging, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("a%db%s", 7, "x"), "a7bx");

@@ -710,7 +710,7 @@ TEST(MemoryValidate, ConstructorFatalsWithTheFieldName)
     }
 }
 
-// --- event horizon and the event-jump driver (DESIGN.md §4f) -----------
+// --- event horizon and the event-jump driver (DESIGN.md §4e) -----------
 
 /** Everything an event-driven run must reproduce bit-for-bit. */
 struct DriveResult {
@@ -722,16 +722,13 @@ struct DriveResult {
 /**
  * Drive a four-port gather+stream mix to completion. With `event_jump`,
  * skip spans nextEventCycle() proves quiet via tickQuiet() — the
- * bench/sim_membw driver shape. `check_channel_min` additionally
- * asserts, every iteration, that the global nextEventCycle() equals the
- * minimum of the per-channel restrictions.
+ * bench/sim_membw driver shape.
  */
 DriveResult
-driveMixed(bool event_jump, int mem_threads, bool check_channel_min)
+driveMixed(bool event_jump)
 {
     MemoryConfig cfg;
     MemorySystem mem(cfg);
-    mem.setMemThreads(mem_threads);
     const int kPorts = 4;
     std::vector<MemoryPort *> ports;
     for (int p = 0; p < kPorts; ++p)
@@ -763,15 +760,6 @@ driveMixed(bool event_jump, int mem_threads, bool check_channel_min)
         mem.tick();
         for (auto *port : ports)
             port->takeCompletedReadBytes();
-        if (check_channel_min) {
-            uint64_t global = mem.nextEventCycle();
-            uint64_t channel_min = MemorySystem::kNoEvent;
-            for (int ch = 0; ch < cfg.numChannels; ++ch)
-                channel_min =
-                    std::min(channel_min, mem.nextEventCycle(ch));
-            EXPECT_EQ(channel_min, global)
-                << "at cycle " << mem.cycle();
-        }
         if (event_jump) {
             uint64_t next = mem.nextEventCycle();
             if (next != MemorySystem::kNoEvent &&
@@ -788,89 +776,16 @@ driveMixed(bool event_jump, int mem_threads, bool check_channel_min)
     return r;
 }
 
-TEST(MemModelEvents, PerChannelNextEventMinimumEqualsGlobal)
-{
-    // The per-channel restriction must tile the global event horizon:
-    // checked at every tick of a mixed stream+gather run.
-    driveMixed(false, 1, true);
-}
-
 TEST(MemModelEvents, EventJumpDriverBitIdenticalToPerCycle)
 {
     // tickQuiet over spans nextEventCycle() proved quiet must leave
     // cycles, every stat and the per-channel byte distribution exactly
     // as a tick-by-tick run (the bench/sim_membw driver contract).
-    DriveResult per_cycle = driveMixed(false, 1, false);
-    DriveResult jump = driveMixed(true, 1, false);
+    DriveResult per_cycle = driveMixed(false);
+    DriveResult jump = driveMixed(true);
     EXPECT_EQ(jump.cycles, per_cycle.cycles);
     EXPECT_EQ(jump.stats, per_cycle.stats);
     EXPECT_EQ(jump.channelBytes, per_cycle.channelBytes);
-}
-
-TEST(MemModelMemThreads, ChannelParallelTickBitIdentical)
-{
-    // The channel-parallel scan phase (DESIGN.md §4f) is a pure
-    // reorganisation of the eligibility scan: any worker count must
-    // reproduce the sequential tick bit-for-bit.
-    DriveResult sequential = driveMixed(false, 1, false);
-    for (int n : {2, 4}) {
-        DriveResult parallel = driveMixed(false, n, false);
-        EXPECT_EQ(parallel.cycles, sequential.cycles) << "threads " << n;
-        EXPECT_EQ(parallel.stats, sequential.stats) << "threads " << n;
-        EXPECT_EQ(parallel.channelBytes, sequential.channelBytes)
-            << "threads " << n;
-    }
-}
-
-TEST(MemModelGuards, CrossChannelBankTouchDuringScanPanics)
-{
-    // While a channel-parallel scan job owns channel `c`, any bank
-    // lookup outside `c` is a cross-thread read racing another job's
-    // channel: the bankAt guard must panic deterministically.
-    setQuiet(true);
-    MemoryConfig cfg;
-    MemorySystem mem(cfg);
-    MemoryPort *port = mem.makePort(0);
-    port->issue(0, 64, false); // unscheduled head on channel 0
-    {
-        MemorySystem::ChannelScanGuard guard(1);
-        try {
-            // The grantable bound consults the head's bank on channel 0.
-            mem.nextEventCycle(0);
-            FAIL() << "expected a cross-channel panic";
-        } catch (const PanicError &e) {
-            EXPECT_NE(std::string(e.what()).find("channel"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    // Guard released: the same lookup is legal again.
-    EXPECT_GE(mem.nextEventCycle(0), mem.cycle() + 1);
-    setQuiet(false);
-}
-
-TEST(MemModelGuards, IssueDuringScanPhasePanics)
-{
-    // Scan jobs only read; an issue() while any scan guard is live
-    // mutates a pending queue mid-scan and must panic.
-    setQuiet(true);
-    MemoryConfig cfg;
-    MemorySystem mem(cfg);
-    MemoryPort *port = mem.makePort(0);
-    {
-        MemorySystem::ChannelScanGuard guard(0);
-        try {
-            port->issue(0, 64, false);
-            FAIL() << "expected an issue-during-scan panic";
-        } catch (const PanicError &e) {
-            EXPECT_NE(std::string(e.what()).find("scan"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    port->issue(0, 64, false);
-    drain(mem);
-    setQuiet(false);
 }
 
 } // namespace

@@ -377,16 +377,24 @@ TEST(ServiceConfigEnv, OverridesApply)
     setenv("GENESIS_SERVICE_SLOTS", "5", 1);
     setenv("GENESIS_SERVICE_QUEUE_CAP", "9", 1);
     setenv("GENESIS_SERVICE_CACHE_MB", "128", 1);
+    // A boolean flag set to 0 means off, like every other escape hatch.
+    setenv("GENESIS_SERVICE_NO_CACHE", "0", 1);
     ServiceConfig cfg = ServiceConfig::fromEnv();
     unsetenv("GENESIS_SERVICE_BOARDS");
     unsetenv("GENESIS_SERVICE_SLOTS");
     unsetenv("GENESIS_SERVICE_QUEUE_CAP");
     unsetenv("GENESIS_SERVICE_CACHE_MB");
+    unsetenv("GENESIS_SERVICE_NO_CACHE");
     EXPECT_EQ(cfg.numBoards, 3);
     EXPECT_EQ(cfg.slotsPerBoard, 5);
     EXPECT_EQ(cfg.queueCapacity, 9u);
     EXPECT_EQ(cfg.cacheCapacityBytes, 128ull << 20);
     EXPECT_TRUE(cfg.enableCache);
+
+    setenv("GENESIS_SERVICE_NO_CACHE", "1", 1);
+    ServiceConfig no_cache = ServiceConfig::fromEnv();
+    unsetenv("GENESIS_SERVICE_NO_CACHE");
+    EXPECT_FALSE(no_cache.enableCache);
 }
 
 TEST(ServiceConfigEnv, MalformedValuesFallBackLoudlyNotSilently)
