@@ -110,8 +110,7 @@ MemoryPort::issue(uint64_t addr, uint32_t bytes, bool is_write)
         cur += slice;
     }
     ++*owner_->requests_;
-    if (progress_)
-        ++*progress_;
+    ++*owner_->progress_; // issuing is architectural progress
 }
 
 uint64_t
@@ -234,8 +233,6 @@ void
 MemorySystem::attachProgress(uint64_t *counter)
 {
     progress_ = counter;
-    for (auto &port : ports_)
-        port->progress_ = counter;
 }
 
 void
@@ -274,7 +271,6 @@ MemorySystem::makePort(int local_group)
     auto port =
         std::unique_ptr<MemoryPort>(new MemoryPort(id, local_group, this));
     port->queueDepth_ = config_.portQueueDepth;
-    port->progress_ = progress_;
     port->retireWaiters_.setName("mem.port" + std::to_string(id) +
                                  " retire");
     if (trace_)

@@ -172,8 +172,6 @@ class MemoryPort
     uint64_t retiredWriteBytes_ = 0;
     /** Sleeping modules woken when a sub-request retires. */
     WaitList retireWaiters_;
-    /** Owning MemorySystem's progress counter (issue() bumps it). */
-    uint64_t *progress_ = nullptr;
     /** Tracing attachment (set by MemorySystem::attachTrace). */
     TraceSink *trace_ = nullptr;
     const uint64_t *traceCycle_ = nullptr;
