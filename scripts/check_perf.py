@@ -85,19 +85,12 @@ def collect_once(bench_dir):
         for rec in json.loads(array.group(0)):
             if "lanes" in rec:
                 key = f"sim_multipipe.lanes{rec['lanes']}.wall_seconds"
-            elif "threads" in rec:
-                # Lane-sharded parallel-scheduler sweep: guards both the
-                # sequential scheduler (threads1) and the parallel path's
-                # wall clock against host-side slowdowns.
-                key = f"sim_multipipe.threads{rec['threads']}.wall_seconds"
-            else:
-                continue
-            metrics[key] = rec["wall_seconds"]
+                metrics[key] = rec["wall_seconds"]
 
     # Memory bandwidth sweep: the whole-bench wall clock plus the
-    # per-driver and mem-thread records the bench emits. The bench
-    # fatals on any per-cycle vs event-jump or mem-thread divergence,
-    # so a regression here is purely host-side perf.
+    # per-pattern event-jump records the bench emits. The bench fatals
+    # on any per-cycle vs event-jump divergence, so a regression here is
+    # purely host-side perf.
     wall, out = run_timed([os.path.join(bench_dir, "sim_membw")],
                           BENCH_ENV)
     metrics["sim_membw.wall_seconds"] = wall
@@ -106,15 +99,7 @@ def collect_once(bench_dir):
         if not line.startswith("{"):
             continue
         rec = json.loads(line)
-        if rec.get("bench") != "sim_membw":
-            continue
-        if "mem_threads" in rec:
-            # Channel-parallel tick sweep (streaming, event-jump
-            # driver): sim_membw.memthreads{N} tracks where the scan
-            # fan-out trade sits on this runner class.
-            key = f"sim_membw.memthreads{rec['mem_threads']}.wall_seconds"
-            metrics[key] = rec["wall_seconds"]
-        elif "pattern" in rec:
+        if rec.get("bench") == "sim_membw" and "pattern" in rec:
             metrics[f"sim_membw.{rec['pattern']}.evjump_wall_seconds"] = \
                 rec["evjump_wall_seconds"]
 
