@@ -246,11 +246,12 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
             }
         }
     };
-    std::vector<std::thread> threads;
-    for (int t = 0; t < workers; ++t)
-        threads.emplace_back(farm);
-    for (auto &thread : threads)
-        thread.join();
+    {
+        // jthread joins on destruction, also if a later spawn throws.
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < workers; ++t)
+            threads.emplace_back(farm);
+    }
     if (first_error)
         std::rethrow_exception(first_error);
 
