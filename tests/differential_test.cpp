@@ -27,6 +27,49 @@
 namespace genesis::core {
 namespace {
 
+/** Exact totals of one grid point. */
+struct PinnedRun {
+    int64_t pairs;
+    uint64_t seed;
+    uint64_t totalCycles;
+    uint64_t statDigest;
+};
+
+/**
+ * Simulated cycles and stat digest (test::statDigest) of every grid
+ * point, one table per accelerator, so a drift in the scheduler's or
+ * the memory arbiters' multi-lane (3- and 5-pipeline) results fails
+ * here rather than only in a downstream bench. BQSR and Metadata
+ * Update put several memory ports behind each local arbiter and load
+ * the banks far harder than MarkDup's two ports per pipeline, so their
+ * rows pin arbitration and bank-conflict accounting. Update these only
+ * for a deliberate change to the modeled hardware.
+ */
+constexpr PinnedRun kPinnedMarkDup[] = {
+    {60, 5, 19'224, 4707762294587321ull},
+    {60, 17, 19'829, 6815095692869401248ull},
+    {300, 5, 31'444, 13370586055922107439ull},
+    {300, 17, 32'658, 908425289161630154ull},
+    {700, 5, 45'551, 15587225018735256916ull},
+    {700, 17, 46'160, 10795923898056628353ull},
+};
+constexpr PinnedRun kPinnedMetadata[] = {
+    {60, 5, 106'176, 12865785474082268559ull},
+    {60, 17, 106'829, 17053821876279295506ull},
+    {300, 5, 81'647, 7626295744749759832ull},
+    {300, 17, 83'473, 3379457861677602504ull},
+    {700, 5, 107'734, 3838919721618621704ull},
+    {700, 17, 106'575, 13703326069496703117ull},
+};
+constexpr PinnedRun kPinnedBqsr[] = {
+    {60, 5, 1'506'590, 12271431443262784483ull},
+    {60, 17, 1'415'875, 7452670088712735843ull},
+    {300, 5, 926'560, 2617803908536137003ull},
+    {300, 17, 925'550, 14453648363515081929ull},
+    {700, 5, 882'063, 18366848561403211710ull},
+    {700, 17, 879'446, 15873312945676381516ull},
+};
+
 /** (read pairs, seed) — the grid axes. */
 using DiffParam = std::tuple<int64_t, uint64_t>;
 
@@ -51,6 +94,24 @@ class DifferentialGoldenModel
     pipelinesForSize() const
     {
         return pairs_ < 200 ? 1 : pairs_ < 500 ? 3 : 5;
+    }
+
+    /** Expect one run to reproduce this grid point's row of `pins`. */
+    template <size_t N>
+    void
+    expectPinned(const PinnedRun (&pins)[N], uint64_t total_cycles,
+                 const std::map<std::string, uint64_t> &stats) const
+    {
+        const PinnedRun *pinned = nullptr;
+        for (const auto &run : pins) {
+            if (run.pairs == pairs_ && run.seed == seed_)
+                pinned = &run;
+        }
+        ASSERT_NE(pinned, nullptr) << "no pinned values for this grid point";
+        EXPECT_EQ(total_cycles, pinned->totalCycles)
+            << "pinned cycle drift, pairs=" << pairs_ << " seed=" << seed_;
+        EXPECT_EQ(test::statDigest(stats), pinned->statDigest)
+            << "pinned stat drift, pairs=" << pairs_ << " seed=" << seed_;
     }
 
     int64_t pairs_ = 0;
@@ -93,6 +154,8 @@ TEST_P(DifferentialGoldenModel, MetadataTagsMatchSoftwareExactly)
     auto result = MetadataAccelerator(cfg).run(hw_reads,
                                                workload_.genome);
     EXPECT_EQ(result.readsTagged, static_cast<int64_t>(hw_reads.size()));
+    expectPinned(kPinnedMetadata, result.info.totalCycles,
+                 result.info.stats.counters());
 
     gatk::setNmMdUqTags(sw_reads, workload_.genome);
     ASSERT_EQ(hw_reads.size(), sw_reads.size());
@@ -122,45 +185,8 @@ TEST_P(DifferentialGoldenModel, BqsrTableMatchesSoftwareExactly)
     EXPECT_TRUE(hw.table == sw)
         << "covariate tables differ, pairs=" << pairs_
         << " seed=" << seed_;
+    expectPinned(kPinnedBqsr, hw.info.totalCycles, hw.info.stats.counters());
 }
-
-/** FNV-1a (64-bit) over a stat map's sorted "name=value" lines. */
-uint64_t
-statDigest(const std::map<std::string, uint64_t> &stats)
-{
-    uint64_t hash = 14695981039346656037ull;
-    for (const auto &[name, value] : stats) {
-        std::string line = name + "=" + std::to_string(value) + "\n";
-        for (unsigned char c : line) {
-            hash ^= c;
-            hash *= 1099511628211ull;
-        }
-    }
-    return hash;
-}
-
-/** Exact MarkDup totals of one grid point. */
-struct PinnedRun {
-    int64_t pairs;
-    uint64_t seed;
-    uint64_t totalCycles;
-    uint64_t statDigest;
-};
-
-/**
- * Simulated cycles and stat digest of every grid point, so a drift in
- * the scheduler's multi-lane (3- and 5-pipeline) results fails here
- * rather than only in a downstream bench. Update these only for a
- * deliberate change to the modeled hardware.
- */
-constexpr PinnedRun kPinnedRuns[] = {
-    {60, 5, 19'224, 4707762294587321ull},
-    {60, 17, 19'829, 6815095692869401248ull},
-    {300, 5, 31'444, 13370586055922107439ull},
-    {300, 17, 32'658, 908425289161630154ull},
-    {700, 5, 45'551, 15587225018735256916ull},
-    {700, 17, 46'160, 10795923898056628353ull},
-};
 
 TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
 {
@@ -180,16 +206,7 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
     };
     auto base = run_once();
     EXPECT_GT(base.first, 0u);
-    const PinnedRun *pinned = nullptr;
-    for (const auto &run : kPinnedRuns) {
-        if (run.pairs == pairs_ && run.seed == seed_)
-            pinned = &run;
-    }
-    ASSERT_NE(pinned, nullptr) << "no pinned values for this grid point";
-    EXPECT_EQ(base.first, pinned->totalCycles)
-        << "pinned cycle drift, pairs=" << pairs_ << " seed=" << seed_;
-    EXPECT_EQ(statDigest(base.second), pinned->statDigest)
-        << "pinned stat drift, pairs=" << pairs_ << " seed=" << seed_;
+    expectPinned(kPinnedMarkDup, base.first, base.second);
     {
         ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
         auto no_sleep = run_once();

@@ -7,6 +7,9 @@
 #ifndef GENESIS_TESTS_SIM_TEST_UTILS_H
 #define GENESIS_TESTS_SIM_TEST_UTILS_H
 
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "genome/read_simulator.h"
@@ -88,6 +91,30 @@ class VectorSink : public sim::Module
     std::vector<sim::Flit> collected_;
     bool finished_ = false;
 };
+
+/** FNV-1a (64-bit) offset basis: the digest of no bytes. */
+constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+/** Fold `bytes` into a running FNV-1a (64-bit) digest. */
+inline uint64_t
+fnv1a(uint64_t hash, const std::string &bytes)
+{
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/** FNV-1a (64-bit) over a stat map's sorted "name=value" lines. */
+inline uint64_t
+statDigest(const std::map<std::string, uint64_t> &stats)
+{
+    uint64_t hash = kFnvOffsetBasis;
+    for (const auto &[name, value] : stats)
+        hash = fnv1a(hash, name + "=" + std::to_string(value) + "\n");
+    return hash;
+}
 
 /** A small deterministic genome + reads workload for integration tests. */
 struct SmallWorkload {
