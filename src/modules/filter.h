@@ -61,6 +61,8 @@ class Filter : public sim::Module
   private:
     /** Interned stall-reason counters (see Module). */
     StatHandle stallBackpressure_ = stallCounter("backpressure");
+    /** Interned per-flit drop counter. */
+    StatHandle dropped_ = statCounter("dropped");
 
     int64_t operandValue(const FilterOperand &operand,
                          const sim::Flit &flit) const;

@@ -97,7 +97,7 @@ Joiner::tick()
         if (config_.mode == JoinMode::Outer) {
             emitRightOnly(flit);
         } else {
-            stats().add("dropped_right");
+            ++*droppedRight_;
             traceBusy();
         }
         return;
@@ -105,7 +105,7 @@ Joiner::tick()
     if (right_stopped && left_data) {
         Flit flit = left_->pop();
         if (config_.mode == JoinMode::Inner) {
-            stats().add("dropped_left");
+            ++*droppedLeft_;
             traceBusy();
         } else {
             emitLeftOnly(flit);
@@ -127,7 +127,7 @@ Joiner::tick()
     if (lhead.key == Flit::kIns) {
         Flit flit = left_->pop();
         if (config_.mode == JoinMode::Inner) {
-            stats().add("dropped_left");
+            ++*droppedLeft_;
             traceBusy();
         } else {
             emitLeftOnly(flit);
@@ -146,7 +146,7 @@ Joiner::tick()
     if (lhead.key < rhead.key) {
         Flit flit = left_->pop();
         if (config_.mode == JoinMode::Inner) {
-            stats().add("dropped_left");
+            ++*droppedLeft_;
             traceBusy();
         } else {
             emitLeftOnly(flit);
@@ -158,7 +158,7 @@ Joiner::tick()
     if (config_.mode == JoinMode::Outer) {
         emitRightOnly(flit);
     } else {
-        stats().add("dropped_right");
+        ++*droppedRight_;
         traceBusy();
     }
 }

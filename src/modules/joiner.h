@@ -54,6 +54,9 @@ class Joiner : public sim::Module
     /** Interned stall-reason counters (see Module). */
     StatHandle stallBackpressure_ = stallCounter("backpressure");
     StatHandle stallStarved_ = stallCounter("starved");
+    /** Interned per-flit drop counters. */
+    StatHandle droppedLeft_ = statCounter("dropped_left");
+    StatHandle droppedRight_ = statCounter("dropped_right");
 
     /** Emit a left-side flit padded with right-side nulls. */
     void emitLeftOnly(const sim::Flit &flit);

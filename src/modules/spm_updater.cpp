@@ -68,7 +68,7 @@ SpmUpdater::tick()
             raw_addr == Flit::kDel) {
             // Address-less flits (unbinnable bases) are skipped.
             in_->pop();
-            stats().add("skipped");
+            ++*skipped_;
             traceBusy();
             return;
         }

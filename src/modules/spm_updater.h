@@ -65,6 +65,8 @@ class SpmUpdater : public sim::Module
   private:
     /** Interned stall-reason counters (see Module). */
     StatHandle stallRmwHazard_ = stallCounter("rmw_hazard");
+    /** Interned per-flit skip counter. */
+    StatHandle skipped_ = statCounter("skipped");
     /** Interned trace state for hazard instants (0 = not yet). */
     TraceSink::StateId hazardState_ = 0;
     /** One trace instant per held flit, not per stalled cycle. */
