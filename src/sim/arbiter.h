@@ -15,6 +15,9 @@ namespace genesis::sim {
  * Fair round-robin selector over n requesters. grant() scans the
  * requesters starting just past the last winner and returns the first
  * index the predicate accepts, updating the pointer; -1 when none.
+ * grant() is the definition of the policy; distance() and take() let a
+ * caller that already holds its candidate list reach the same winner
+ * and pointer without the scan.
  */
 class RoundRobinArbiter
 {
@@ -26,9 +29,8 @@ class RoundRobinArbiter
 
     /**
      * @param requesting predicate: does requester i want (and may get) a
-     * grant this cycle? Templated so hot callers (the memory system's
-     * per-cycle arbitration) pass lambdas without a std::function
-     * allocation or indirect call.
+     * grant this cycle? Templated so callers pass lambdas without a
+     * std::function allocation or indirect call.
      * @return granted index, or -1 when no requester is eligible.
      */
     template <typename Pred>
@@ -48,6 +50,26 @@ class RoundRobinArbiter
         }
         return -1;
     }
+
+    /**
+     * Position of requester i in the next grant() scan: 0 for the
+     * requester the scan starts from, n - 1 for the one it reaches
+     * last. Among the requesters a predicate accepts, grant() returns
+     * the one with the smallest distance, so a caller that knows its
+     * candidates (the memory system's ready-head index) can pick the
+     * winner by distance without scanning every requester.
+     */
+    size_t
+    distance(size_t i) const
+    {
+        return i >= next_ ? i - next_ : i + n_ - next_;
+    }
+
+    /**
+     * Record a grant to requester i decided outside grant(): the
+     * pointer moves exactly as grant() moves it when i wins.
+     */
+    void take(size_t i) { next_ = i + 1 == n_ ? 0 : i + 1; }
 
     /**
      * Requester the next grant() scan starts from. A grant with no

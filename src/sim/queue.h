@@ -12,12 +12,13 @@
 #ifndef GENESIS_SIM_QUEUE_H
 #define GENESIS_SIM_QUEUE_H
 
-#include <deque>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "base/trace.h"
 #include "sim/flit.h"
+#include "sim/ring.h"
 #include "sim/wait.h"
 
 namespace genesis::sim {
@@ -110,6 +111,11 @@ class HardwareQueue
     WaitList &waiters() { return waiters_; }
 
   private:
+    /** Panic for a push to a full or closed queue (kept out of line). */
+    [[noreturn]] void failPush() const;
+    /** Panic for `op` ("front of", "pop from") on an empty queue. */
+    [[noreturn]] void failEmpty(const char *op) const;
+
     /** Register on the owning simulator's dirty list (once per cycle). */
     void
     markDirty()
@@ -122,7 +128,8 @@ class HardwareQueue
 
     std::string name_;
     size_t capacity_;
-    std::deque<Flit> buffer_;
+    /** Committed flits: capacity_ slots, allocated at construction. */
+    Ring<Flit> buffer_;
 
     bool stagedPushValid_ = false;
     Flit stagedPush_;
@@ -147,6 +154,87 @@ class HardwareQueue
     const uint64_t *traceCycle_ = nullptr;
     int traceTrack_ = -1;
 };
+
+// The per-flit operations are defined here so that module ticks and the
+// simulator's commit loop inline them; only the failure paths are out of
+// line.
+
+inline bool
+HardwareQueue::canPush() const
+{
+    // Conservative (registered) backpressure: space is judged against the
+    // occupancy at the start of the cycle; a same-cycle pop does not free
+    // a slot until commit.
+    return !stagedPushValid_ && buffer_.size() < capacity_;
+}
+
+inline void
+HardwareQueue::push(const Flit &flit)
+{
+    if (!canPush() || closed_ || stagedClose_)
+        failPush();
+    stagedPush_ = flit;
+    stagedPushValid_ = true;
+    markDirty();
+}
+
+inline bool
+HardwareQueue::canPop() const
+{
+    return !stagedPop_ && !buffer_.empty();
+}
+
+inline const Flit &
+HardwareQueue::front() const
+{
+    if (buffer_.empty())
+        failEmpty("front of");
+    return buffer_.front();
+}
+
+inline Flit
+HardwareQueue::pop()
+{
+    if (!canPop())
+        failEmpty("pop from");
+    stagedPop_ = true;
+    markDirty();
+    return buffer_.front();
+}
+
+inline bool
+HardwareQueue::drained() const
+{
+    return buffer_.empty() && !stagedPushValid_ && closed_;
+}
+
+inline void
+HardwareQueue::commit()
+{
+    const bool staged = stagedPop_ || stagedPushValid_ || stagedClose_;
+    if (stagedPop_) {
+        buffer_.pop_front();
+        stagedPop_ = false;
+    }
+    if (stagedPushValid_) {
+        buffer_.push_back(stagedPush_);
+        ++totalFlits_;
+        stagedPushValid_ = false;
+    }
+    if (stagedClose_) {
+        closed_ = true;
+        stagedClose_ = false;
+    }
+    dirty_ = false;
+    if (staged) {
+        ++*progress_;
+        maxOccupancy_ = std::max(maxOccupancy_, buffer_.size());
+        if (trace_)
+            trace_->counter(traceTrack_, *traceCycle_, buffer_.size());
+        if (!waiters_.empty())
+            waiters_.wakeAll();
+    }
+}
 
 } // namespace genesis::sim
 

@@ -9,12 +9,14 @@
 
 #include <cstdlib>
 #include <optional>
+#include <vector>
 
 #include "base/logging.h"
 #include "modules/filter.h"
 #include "modules/spm_updater.h"
 #include "sim/arbiter.h"
 #include "sim/memory.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/spm.h"
 #include "sim_test_utils.h"
@@ -130,6 +132,34 @@ TEST(Queue, FifoOrderAndStats)
     EXPECT_EQ(q.maxOccupancy(), 3u);
 }
 
+TEST(Queue, RingGrowsWhileWrappedKeepsFifoOrder)
+{
+    // HardwareQueue's ring never grows (pushes are capacity-gated); a
+    // memory port's ring grows when one issue() splits past its depth,
+    // usually after pops have wrapped the head. Growth must unwrap the
+    // live elements in FIFO order.
+    Ring<int> ring(4);
+    int next_in = 0;
+    int next_out = 0;
+    // Five rounds leave one element in slot 2 of 4, so the pushes below
+    // fill the ring across its end and then grow it.
+    for (int round = 0; round < 5; ++round) {
+        while (ring.size() < 3)
+            ring.push_back(next_in++);
+        ring.pop_front();
+        ring.pop_front();
+        next_out += 2;
+    }
+    for (int i = 0; i < 9; ++i)
+        ring.push_back(next_in++);
+    EXPECT_EQ(ring.back(), next_in - 1);
+    while (!ring.empty()) {
+        EXPECT_EQ(ring.front(), next_out++);
+        ring.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(Arbiter, RoundRobinIsFair)
 {
     RoundRobinArbiter arb(3);
@@ -148,6 +178,48 @@ TEST(Arbiter, SkipsNonRequesting)
     EXPECT_EQ(arb.grant(only2), 2);
     auto none = [](size_t) { return false; };
     EXPECT_EQ(arb.grant(none), -1);
+}
+
+TEST(Arbiter, DistancePickAndTakeMatchGrant)
+{
+    // The memory system picks winners from its ready-head index as "the
+    // accepted requester with the smallest distance()" and then take()s
+    // it. For random sizes, pointer positions and predicates, that must
+    // name grant()'s winner and leave the pointer where grant() leaves
+    // it, including when nothing is accepted.
+    uint64_t lcg = 2020;
+    auto draw = [&lcg](uint64_t bound) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<size_t>((lcg >> 33) % bound);
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+        const size_t n = 1 + draw(9);
+        RoundRobinArbiter oracle(n);
+        oracle.take(draw(n));
+        RoundRobinArbiter picker = oracle;
+        std::vector<char> wants(n);
+        for (auto &w : wants)
+            w = draw(3) == 0;
+        auto requesting = [&wants](size_t i) { return wants[i] != 0; };
+
+        int pick = -1;
+        for (size_t i = 0; i < n; ++i) {
+            if (requesting(i) &&
+                (pick < 0 ||
+                 picker.distance(i) <
+                     picker.distance(static_cast<size_t>(pick)))) {
+                pick = static_cast<int>(i);
+            }
+        }
+        if (pick >= 0)
+            picker.take(static_cast<size_t>(pick));
+
+        const size_t start = oracle.nextIndex();
+        EXPECT_EQ(pick, oracle.grant(requesting))
+            << "n=" << n << " pointer=" << start;
+        EXPECT_EQ(picker.nextIndex(), oracle.nextIndex())
+            << "n=" << n << " pointer=" << start;
+    }
 }
 
 TEST(Memory, ReadCompletesAfterLatency)
