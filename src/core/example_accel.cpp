@@ -96,7 +96,9 @@ matchCountsSqlEngine(const std::vector<genome::AlignedRead> &reads,
     catalog.putPartition(
         "READS", partition.pid,
         table::buildReadsTable(reads, partition.readIndices));
-    catalog.put("REF", table::buildRefTable(genome, psize, overlap));
+    catalog.putPartition(
+        "REF", partition.pid,
+        table::buildRefPartition(genome, partition.pid, psize, overlap));
 
     engine::Executor executor(catalog);
     executor.env().variables["P"] = table::Value(partition.pid);

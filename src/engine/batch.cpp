@@ -1,5 +1,7 @@
 #include "engine/batch.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 
 namespace genesis::engine {
@@ -135,19 +137,29 @@ isIntColumn(DataType t)
 
 } // namespace
 
-Batch
-Batch::fromTable(const Table &t)
+RowWindow
+clampWindow(size_t first, size_t count, size_t rows)
 {
+    RowWindow w;
+    w.first = std::min(first, rows);
+    w.end = w.first + std::min(count, rows - w.first);
+    return w;
+}
+
+Batch
+Batch::fromTable(const Table &t, size_t first, size_t count)
+{
+    const RowWindow w = clampWindow(first, count, t.numRows());
     Batch b;
     b.schema = t.schema();
-    b.rows = t.numRows();
+    b.rows = w.end - w.first;
     b.columns.reserve(t.numColumns());
     for (size_t c = 0; c < t.numColumns(); ++c) {
         const table::Column &col = t.column(c);
         if (isIntColumn(col.type())) {
             ColumnChunk chunk = ColumnChunk::makeInt();
-            chunk.reserve(t.numRows());
-            for (size_t r = 0; r < t.numRows(); ++r) {
+            chunk.reserve(b.rows);
+            for (size_t r = w.first; r < w.end; ++r) {
                 if (col.isNull(r))
                     chunk.pushNull();
                 else
@@ -156,8 +168,8 @@ Batch::fromTable(const Table &t)
             b.columns.push_back(std::move(chunk));
         } else {
             ColumnChunk chunk = ColumnChunk::makeBoxed();
-            chunk.reserve(t.numRows());
-            for (size_t r = 0; r < t.numRows(); ++r)
+            chunk.reserve(b.rows);
+            for (size_t r = w.first; r < w.end; ++r)
                 chunk.boxed.push_back(col.value(r));
             b.columns.push_back(std::move(chunk));
         }

@@ -12,6 +12,7 @@
 #define GENESIS_ENGINE_BATCH_H
 
 #include <cstdint>
+#include <limits>
 #include <sys/types.h>
 #include <vector>
 
@@ -21,6 +22,18 @@ namespace genesis::engine {
 
 /** Rows processed per operator step. */
 inline constexpr size_t kBatchRows = 1024;
+
+/** Rows [first, end) of an input. */
+struct RowWindow {
+    size_t first = 0;
+    size_t end = 0;
+};
+
+/**
+ * The window [first, first + count) clamped to an input of `rows`
+ * rows, computed without overflow for any count.
+ */
+RowWindow clampWindow(size_t first, size_t count, size_t rows);
 
 /** One column's cells: int fast path or boxed Values. */
 struct ColumnChunk {
@@ -80,8 +93,14 @@ struct Batch {
     std::vector<ColumnChunk> columns;
     size_t rows = 0;
 
-    /** Copy a table into chunks (int fast path for scalar columns). */
-    static Batch fromTable(const table::Table &t);
+    /**
+     * Copy rows [first, first + count) of a table, clamped to its rows,
+     * into chunks (int fast path for scalar columns). The defaults copy
+     * the whole table.
+     */
+    static Batch
+    fromTable(const table::Table &t, size_t first = 0,
+              size_t count = std::numeric_limits<size_t>::max());
 
     /** Same schema and chunk modes as proto, zero rows. */
     static Batch emptyLike(const Batch &proto);

@@ -1,6 +1,7 @@
 #include "engine/eval.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.h"
 #include "sql/plan.h"
@@ -86,24 +87,8 @@ evalBinary(const std::string &op, const Value &l, const Value &r)
     if (op == ">=")
         return Value(!(l < r));
 
-    int64_t a = l.asInt();
-    int64_t b = r.asInt();
-    if (op == "+")
-        return Value(a + b);
-    if (op == "-")
-        return Value(a - b);
-    if (op == "*")
-        return Value(a * b);
-    if (op == "/") {
-        if (b == 0)
-            fatal("division by zero");
-        return Value(a / b);
-    }
-    if (op == "%") {
-        if (b == 0)
-            fatal("modulo by zero");
-        return Value(a % b);
-    }
+    if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%")
+        return Value(checkedArith(op[0], l.asInt(), r.asInt()));
     fatal("unsupported binary operator '%s'", op.c_str());
 }
 
@@ -115,7 +100,7 @@ evalScalarCall(const std::string &name, const std::vector<Value> &args)
         if (args[0].isNull())
             return Value();
         int64_t v = args[0].asInt();
-        return Value(v < 0 ? -v : v);
+        return Value(v < 0 ? checkedArith('-', 0, v) : v);
     }
     if (name == "LEN" && args.size() == 1) {
         if (args[0].isNull())
@@ -185,7 +170,8 @@ evalExpr(const sql::Expr &expr, const ColumnResolver *resolver,
         if (expr.op == "NOT")
             return v.isNull() ? Value() : Value(!v.truthy());
         if (expr.op == "-")
-            return v.isNull() ? Value() : Value(-v.asInt());
+            return v.isNull() ? Value()
+                              : Value(checkedArith('-', 0, v.asInt()));
         fatal("unsupported unary operator '%s'", expr.op.c_str());
       }
       case ExprKind::Binary: {
@@ -215,6 +201,43 @@ Value
 evalConstExpr(const sql::Expr &expr, const VariableEnv &env)
 {
     return evalExpr(expr, nullptr, env);
+}
+
+int64_t
+checkedArith(char op, int64_t a, int64_t b)
+{
+    int64_t out = 0;
+    bool overflow = false;
+    switch (op) {
+      case '+':
+        overflow = __builtin_add_overflow(a, b, &out);
+        break;
+      case '-':
+        overflow = __builtin_sub_overflow(a, b, &out);
+        break;
+      case '*':
+        overflow = __builtin_mul_overflow(a, b, &out);
+        break;
+      case '/':
+        if (b == 0)
+            fatal("division by zero");
+        overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+        if (!overflow)
+            out = a / b;
+        break;
+      case '%':
+        if (b == 0)
+            fatal("modulo by zero");
+        // x % -1 is 0, but INT64_MIN % -1 overflows its quotient (and
+        // traps on x86), so it is not computed.
+        out = b == -1 ? 0 : a % b;
+        break;
+      default:
+        panic("unsupported integer operator '%c'", op);
+    }
+    if (overflow)
+        fatal("integer overflow in '%c'", op);
+    return out;
 }
 
 } // namespace genesis::engine

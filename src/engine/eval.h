@@ -6,6 +6,7 @@
 #ifndef GENESIS_ENGINE_EVAL_H
 #define GENESIS_ENGINE_EVAL_H
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -88,6 +89,14 @@ table::Value evalExpr(const sql::Expr &expr, const ColumnResolver *resolver,
 
 /** Evaluate an expression that uses no columns (constants + variables). */
 table::Value evalConstExpr(const sql::Expr &expr, const VariableEnv &env);
+
+/**
+ * Integer `a op b` for op '+', '-', '*', '/' or '%', the arithmetic of
+ * both engines (negation is 0 - v, SUM is repeated '+'). Throws
+ * FatalError on a zero divisor and on a result that does not fit in
+ * int64; INT64_MIN % -1 is 0.
+ */
+int64_t checkedArith(char op, int64_t a, int64_t b);
 
 /**
  * Resolve [qualifier.]name to a column index of `schema`, or -1.

@@ -763,6 +763,7 @@ Executor::execAggregateOn(const PlanNode &plan, const Table &input)
                 }
                 if (expr.args.size() != 1)
                     fatal("%s takes one argument", fn.c_str());
+                const bool is_sum = fn == "SUM";
                 int64_t count = 0;
                 int64_t sum = 0;
                 bool any = false;
@@ -774,7 +775,8 @@ Executor::execAggregateOn(const PlanNode &plan, const Table &input)
                         continue;
                     int64_t x = v.asInt();
                     ++count;
-                    sum += x;
+                    if (is_sum)
+                        sum = checkedArith('+', sum, x);
                     if (!any || x < mn)
                         mn = x;
                     if (!any || x > mx)
@@ -783,7 +785,7 @@ Executor::execAggregateOn(const PlanNode &plan, const Table &input)
                 }
                 if (fn == "COUNT")
                     return Value(count);
-                if (fn == "SUM")
+                if (is_sum)
                     return Value(sum);
                 if (!any)
                     return Value();
@@ -825,19 +827,24 @@ Executor::execAggregateOn(const PlanNode &plan, const Table &input)
     return out;
 }
 
-Table
-Executor::execLimitOn(const PlanNode &plan, const Table &input)
+RowWindow
+Executor::limitWindow(const PlanNode &plan, size_t rows) const
 {
     int64_t offset = plan.limitOffset
         ? evalConstExpr(*plan.limitOffset, env_).asInt() : 0;
     int64_t count = evalConstExpr(*plan.limitCount, env_).asInt();
     if (offset < 0 || count < 0)
         fatal("negative LIMIT offset/count");
+    return clampWindow(static_cast<size_t>(offset),
+                       static_cast<size_t>(count), rows);
+}
 
+Table
+Executor::execLimitOn(const PlanNode &plan, const Table &input)
+{
+    const RowWindow w = limitWindow(plan, input.numRows());
     Table out = input.emptyLike("limit");
-    for (size_t r = static_cast<size_t>(offset);
-         r < input.numRows() &&
-         r < static_cast<size_t>(offset + count); ++r) {
+    for (size_t r = w.first; r < w.end; ++r) {
         std::vector<Value> row;
         for (size_t c = 0; c < input.numColumns(); ++c)
             row.push_back(input.at(r, c));

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/batch.h"
 #include "engine/eval.h"
 #include "sql/ast.h"
 #include "sql/optimizer.h"
@@ -153,6 +154,13 @@ class Executor
                                   const table::Table &input);
     table::Table execReadExplodeOn(const sql::PlanNode &plan,
                                    const table::Table &input);
+
+    /**
+     * Rows a LIMIT node keeps of a `rows`-row input: its offset and
+     * count evaluated (negative ones are fatal) and clamped to the
+     * input. Shared by both engines.
+     */
+    RowWindow limitWindow(const sql::PlanNode &plan, size_t rows) const;
 
     /** Resolve a table name through temp scopes then the catalog. */
     const table::Table *lookupTable(const std::string &name) const;

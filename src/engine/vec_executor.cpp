@@ -134,17 +134,23 @@ VecExecutor::evalPlan(const PlanNode &plan)
     panic("unhandled plan kind");
 }
 
+const Table *
+VecExecutor::storedTable(const PlanNode &scan)
+{
+    if (exec_.env_.rowBindings.count(scan.tableName) || scan.partition)
+        return nullptr;
+    const Table *t = exec_.lookupTable(scan.tableName);
+    if (!t)
+        fatal("unknown table '%s'", scan.tableName.c_str());
+    return t;
+}
+
 Batch
 VecExecutor::evalScan(const PlanNode &plan)
 {
-    // Loop-row bindings and partition scans go through the row scan;
-    // plain scans chunk the stored table directly (no copy first).
-    if (exec_.env_.rowBindings.count(plan.tableName) || plan.partition)
-        return Batch::fromTable(exec_.execScan(plan));
-    const Table *t = exec_.lookupTable(plan.tableName);
-    if (!t)
-        fatal("unknown table '%s'", plan.tableName.c_str());
-    return Batch::fromTable(*t);
+    if (const Table *t = storedTable(plan))
+        return Batch::fromTable(*t);
+    return Batch::fromTable(exec_.execScan(plan));
 }
 
 ColumnChunk
@@ -228,7 +234,7 @@ VecExecutor::tryFastExpr(const sql::Expr &expr, const Batch &in,
             else if (expr.op == "NOT")
                 out.pushInt(child->ints[i] != 0 ? 0 : 1);
             else
-                out.pushInt(-child->ints[i]);
+                out.pushInt(checkedArith('-', 0, child->ints[i]));
         }
         return out;
       }
@@ -276,21 +282,8 @@ VecExecutor::tryFastExpr(const sql::Expr &expr, const Batch &in,
                 out.pushInt(a <= b);
             else if (op == ">=")
                 out.pushInt(a >= b);
-            else if (op == "+")
-                out.pushInt(a + b);
-            else if (op == "-")
-                out.pushInt(a - b);
-            else if (op == "*")
-                out.pushInt(a * b);
-            else if (op == "/") {
-                if (b == 0)
-                    fatal("division by zero");
-                out.pushInt(a / b);
-            } else {
-                if (b == 0)
-                    fatal("modulo by zero");
-                out.pushInt(a % b);
-            }
+            else
+                out.pushInt(checkedArith(op[0], a, b));
         }
         return out;
       }
@@ -610,7 +603,8 @@ VecExecutor::evalAggregate(const PlanNode &plan)
             int64_t x = c.ints[r];
             Acc &a = g.accs[s];
             ++a.count;
-            a.sum += x;
+            if (spec.kind == OutSpec::Sum)
+                a.sum = checkedArith('+', a.sum, x);
             if (!a.any || x < a.mn)
                 a.mn = x;
             if (!a.any || x > a.mx)
@@ -682,16 +676,22 @@ VecExecutor::evalAggregate(const PlanNode &plan)
 Batch
 VecExecutor::evalLimit(const PlanNode &plan)
 {
-    Batch in = evalPlan(*plan.children[0]);
-    int64_t offset = plan.limitOffset
-        ? evalConstExpr(*plan.limitOffset, exec_.env_).asInt() : 0;
-    int64_t count = evalConstExpr(*plan.limitCount, exec_.env_).asInt();
-    if (offset < 0 || count < 0)
-        fatal("negative LIMIT offset/count");
+    // LIMIT straight over a stored table converts only its window (the
+    // Figure-4 loop's per-read reference slice). It stops at a bare
+    // Scan: a Project or Filter between them evaluates every input row
+    // and must fail on a row outside the window as the row engine does.
+    const PlanNode &child = *plan.children[0];
+    if (child.kind == PlanKind::Scan) {
+        if (const Table *t = storedTable(child)) {
+            const RowWindow w = exec_.limitWindow(plan, t->numRows());
+            return Batch::fromTable(*t, w.first, w.end - w.first);
+        }
+    }
 
+    Batch in = evalPlan(child);
+    const RowWindow w = exec_.limitWindow(plan, in.rows);
     std::vector<size_t> sel;
-    for (size_t r = static_cast<size_t>(offset);
-         r < in.rows && r < static_cast<size_t>(offset + count); ++r)
+    for (size_t r = w.first; r < w.end; ++r)
         sel.push_back(r);
 
     Batch out = Batch::emptyLike(in);

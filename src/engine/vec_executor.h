@@ -36,6 +36,14 @@ class VecExecutor
 
   private:
     Batch evalPlan(const sql::PlanNode &plan);
+
+    /**
+     * The stored table a Scan reads in place, or nullptr when it goes
+     * through Executor::execScan() (loop-row bindings, partitions).
+     * Throws FatalError for an unknown table.
+     */
+    const table::Table *storedTable(const sql::PlanNode &scan);
+
     Batch evalScan(const sql::PlanNode &plan);
     Batch evalFilter(const sql::PlanNode &plan);
     Batch evalProject(const sql::PlanNode &plan);

@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "base/logging.h"
 
@@ -125,7 +126,12 @@ tokenize(const std::string &text)
                 if (d != '_')
                     t.text.push_back(d);
             }
-            t.intValue = std::stoll(t.text);
+            const char *end = t.text.data() + t.text.size();
+            if (std::from_chars(t.text.data(), end, t.intValue).ec !=
+                std::errc()) {
+                fatal("integer literal '%s' out of range at line %d",
+                      t.text.c_str(), t.line);
+            }
             tokens.push_back(std::move(t));
             continue;
         }

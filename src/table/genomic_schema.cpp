@@ -1,5 +1,8 @@
 #include "table/genomic_schema.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "base/logging.h"
 #include "table/partition.h"
 
@@ -82,9 +85,18 @@ buildReadsTable(const std::vector<genome::AlignedRead> &reads,
     return t;
 }
 
+namespace {
+
+/**
+ * The REF table's rows in (chromosome, window) order, or only the row
+ * whose PID is `only_pid` when one is given. Every REF row is built
+ * here, so buildRefTable() and buildRefPartition() share one row
+ * layout and one PID rule.
+ */
 Table
-buildRefTable(const genome::ReferenceGenome &genome, int64_t psize,
-              int64_t overlap, const std::string &name)
+buildRefRows(const genome::ReferenceGenome &genome, int64_t psize,
+             int64_t overlap, const std::string &name,
+             std::optional<int64_t> only_pid)
 {
     if (psize < 1)
         fatal("reference partition size must be positive");
@@ -94,6 +106,9 @@ buildRefTable(const genome::ReferenceGenome &genome, int64_t psize,
         int64_t num_windows = (chrom.length() + psize - 1) / psize;
         for (int64_t w = 0; w < num_windows; ++w) {
             int64_t start = w * psize;
+            int64_t pid = partitioner.pid(chrom.id, start);
+            if (only_pid && pid != *only_pid)
+                continue;
             int64_t end = std::min<int64_t>(start + psize + overlap,
                                             chrom.length());
             Blob seq, snp;
@@ -108,11 +123,27 @@ buildRefTable(const genome::ReferenceGenome &genome, int64_t psize,
                 Value(start),
                 Value(std::move(seq)),
                 Value(std::move(snp)),
-                Value(partitioner.pid(chrom.id, start)),
+                Value(pid),
             });
         }
     }
     return t;
+}
+
+} // namespace
+
+Table
+buildRefTable(const genome::ReferenceGenome &genome, int64_t psize,
+              int64_t overlap, const std::string &name)
+{
+    return buildRefRows(genome, psize, overlap, name, std::nullopt);
+}
+
+Table
+buildRefPartition(const genome::ReferenceGenome &genome, int64_t pid,
+                  int64_t psize, int64_t overlap)
+{
+    return buildRefRows(genome, psize, overlap, "REF", pid);
 }
 
 } // namespace genesis::table

@@ -56,6 +56,15 @@ Table buildRefTable(const genome::ReferenceGenome &genome,
                     int64_t psize = kDefaultPsize, int64_t overlap = 151,
                     const std::string &name = "REF");
 
+/**
+ * Build one partition of the REF table: the row of buildRefTable() with
+ * the same psize and overlap whose PID is `pid`, or no row when the
+ * genome has no window with that PID. This is what a query over
+ * `REF PARTITION (pid)` reads, staged without the other windows.
+ */
+Table buildRefPartition(const genome::ReferenceGenome &genome, int64_t pid,
+                        int64_t psize, int64_t overlap);
+
 } // namespace genesis::table
 
 #endif // GENESIS_TABLE_GENOMIC_SCHEMA_H

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "base/logging.h"
 #include "engine/executor.h"
 #include "modules/filter.h"
@@ -38,6 +41,16 @@ class EngineEdge : public ::testing::Test
         t.appendRow({Value(-4), Value("abc"), Value(table::Blob{7, 8})});
         t.appendRow({Value(0), Value(""), Value(table::Blob{})});
         catalog_.put("t", std::move(t));
+
+        Table big("big", Schema{{"V", DataType::Int64}});
+        big.appendRow({Value(std::numeric_limits<int64_t>::max())});
+        big.appendRow({Value(1)});
+        catalog_.put("big", std::move(big));
+
+        Table five("five", Schema{{"A", DataType::Int64}});
+        for (int64_t i = 0; i < 5; ++i)
+            five.appendRow({Value(i)});
+        catalog_.put("five", std::move(five));
     }
 
     Value
@@ -46,6 +59,34 @@ class EngineEdge : public ::testing::Test
         engine::Executor executor(catalog_);
         auto result = executor.run(select);
         return result->at(0, 0);
+    }
+
+    /** Run `sql` with the vectorized executor on or off. */
+    std::optional<Table>
+    runWith(bool vectorize, const std::string &sql)
+    {
+        engine::ExecConfig cfg;
+        cfg.vectorize = vectorize;
+        engine::Executor executor(catalog_, cfg);
+        return executor.run(sql);
+    }
+
+    /** The FatalError text `sql` raises, checked equal in both engines. */
+    std::string
+    fatalInBothEngines(const std::string &sql)
+    {
+        std::string text[2];
+        for (bool vectorize : {false, true}) {
+            try {
+                runWith(vectorize, sql);
+                ADD_FAILURE() << "no error (vectorize=" << vectorize
+                              << "): " << sql;
+            } catch (const FatalError &e) {
+                text[vectorize] = e.what();
+            }
+        }
+        EXPECT_EQ(text[0], text[1]) << sql;
+        return text[1];
     }
 
     engine::Catalog catalog_;
@@ -71,6 +112,88 @@ TEST_F(EngineEdge, DivisionAndModuloByZeroFatal)
                  FatalError);
     EXPECT_THROW(executor.run("SELECT 1 % A FROM t LIMIT 1, 1"),
                  FatalError);
+}
+
+TEST_F(EngineEdge, LimitOverProjectStillEvaluatesEveryRow)
+{
+    // Limit(Project(Scan)): the window does not reach through the
+    // Project, so row 1 (A = 0), outside the window, still divides.
+    EXPECT_EQ(fatalInBothEngines("SELECT 1 / A FROM t LIMIT 0, 1"),
+              "fatal: division by zero");
+}
+
+TEST_F(EngineEdge, LimitWindowClampsWithoutOverflow)
+{
+    // offset + count overflows int64; the window is rows 2..4, both over
+    // a bare scan (windowed conversion) and over a Project.
+    for (const char *sql :
+         {"SELECT * FROM five LIMIT 2, 9223372036854775807",
+          "SELECT A + 0 AS A FROM five LIMIT 2, 9223372036854775807"}) {
+        for (bool vectorize : {false, true}) {
+            auto r = runWith(vectorize, sql);
+            ASSERT_TRUE(r.has_value()) << sql;
+            ASSERT_EQ(r->numRows(), 3u) << sql;
+            for (size_t i = 0; i < 3; ++i)
+                EXPECT_EQ(r->at(i, 0).asInt(), static_cast<int64_t>(i + 2))
+                    << sql << " vectorize=" << vectorize;
+        }
+    }
+    // An unknown table is reported before a negative LIMIT.
+    EXPECT_EQ(fatalInBothEngines("SELECT * FROM nosuch LIMIT 0 - 1"),
+              "fatal: unknown table 'nosuch'");
+}
+
+TEST_F(EngineEdge, IntegerOverflowFatalInBothEngines)
+{
+    // Row 0 has A = -4, so each expression overflows on its first row.
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT 9223372036854775807 + (A + 5) FROM t"),
+              "fatal: integer overflow in '+'");
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT (0 - 9223372036854775807) - (A + 6) FROM t"),
+              "fatal: integer overflow in '-'");
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT A * 4611686018427387904 FROM t"),
+              "fatal: integer overflow in '*'");
+    // INT64_MIN / -1 overflows (done raw, it traps with SIGFPE);
+    // negating INT64_MIN (unary minus, ABS) overflows like 0 - INT64_MIN.
+    const std::string min_row =
+        " FROM t WHERE A == 0"; // A - 9223372036854775807 - 1 = INT64_MIN
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT (A - 9223372036854775807 - 1) / (A - 1)" +
+                  min_row),
+              "fatal: integer overflow in '/'");
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT -(A - 9223372036854775807 - 1)" + min_row),
+              "fatal: integer overflow in '-'");
+    EXPECT_EQ(fatalInBothEngines(
+                  "SELECT ABS(A - 9223372036854775807 - 1)" + min_row),
+              "fatal: integer overflow in '-'");
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V) FROM big"),
+              "fatal: integer overflow in '+'");
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V + 0) FROM big"),
+              "fatal: integer overflow in '+'");
+}
+
+TEST_F(EngineEdge, IntegerEdgesThatFitStayExact)
+{
+    for (bool vectorize : {false, true}) {
+        // INT64_MIN % -1 is 0 (done raw, it traps with SIGFPE).
+        auto mod = runWith(vectorize,
+                           "SELECT (A - 9223372036854775807 - 1) % (A - 1)"
+                           " FROM t WHERE A == 0");
+        ASSERT_TRUE(mod.has_value());
+        EXPECT_EQ(mod->at(0, 0).asInt(), 0);
+        // Only SUM accumulates: COUNT, MIN and MAX of a column whose sum
+        // overflows are exact.
+        auto agg = runWith(vectorize,
+                           "SELECT COUNT(V), MIN(V), MAX(V) FROM big");
+        ASSERT_TRUE(agg.has_value());
+        EXPECT_EQ(agg->at(0, 0).asInt(), 2);
+        EXPECT_EQ(agg->at(0, 1).asInt(), 1);
+        EXPECT_EQ(agg->at(0, 2).asInt(),
+                  std::numeric_limits<int64_t>::max());
+    }
 }
 
 TEST_F(EngineEdge, NullPropagationThroughArithmetic)

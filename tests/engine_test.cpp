@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/logging.h"
 #include "core/example_accel.h"
+#include "engine/batch.h"
 #include "engine/executor.h"
 #include "sim_test_utils.h"
 #include "sql/parser.h"
@@ -339,6 +342,45 @@ TEST_F(EngineTest, ReadExplodeMatchesFigure3)
     EXPECT_TRUE(r.at(5, "BP").isNull());   // deleted base
     EXPECT_TRUE(r.at(5, "QUAL").isNull());
     EXPECT_EQ(r.at(7, "POS").asInt(), 110);
+}
+
+TEST(Batch, WindowedFromTableMatchesFullConversionPlusGather)
+{
+    // An int column with a NULL and a boxed column.
+    Table t("w", Schema{{"A", DataType::Int64}, {"S", DataType::String}});
+    const size_t n = 6;
+    for (size_t i = 0; i < n; ++i) {
+        t.appendRow({i == 2 ? Value() : Value(static_cast<int64_t>(i)),
+                     Value(std::string(i, 's'))});
+    }
+    const Batch full = Batch::fromTable(t);
+    const size_t kMax = std::numeric_limits<int64_t>::max();
+    for (size_t first : {size_t{0}, n - 1, n, n + 5}) {
+        for (size_t count : {size_t{0}, size_t{1}, n, kMax}) {
+            std::vector<size_t> idx;
+            for (size_t r = first; r < n && r - first < count; ++r)
+                idx.push_back(r);
+            Batch want = Batch::emptyLike(full);
+            for (size_t c = 0; c < full.columns.size(); ++c)
+                want.columns[c].gather(full.columns[c], idx);
+            want.rows = idx.size();
+
+            const Batch got = Batch::fromTable(t, first, count);
+            SCOPED_TRACE("first " + std::to_string(first) + " count " +
+                         std::to_string(count));
+            EXPECT_EQ(got.schema, want.schema);
+            ASSERT_EQ(got.rows, want.rows);
+            ASSERT_EQ(got.columns.size(), want.columns.size());
+            for (size_t c = 0; c < got.columns.size(); ++c) {
+                EXPECT_EQ(got.columns[c].intMode, want.columns[c].intMode);
+                ASSERT_EQ(got.columns[c].size(), want.rows);
+                for (size_t r = 0; r < got.rows; ++r) {
+                    EXPECT_TRUE(got.columns[c].valueAt(r) ==
+                                want.columns[c].valueAt(r));
+                }
+            }
+        }
+    }
 }
 
 // --- End-to-end: the Figure-4 query vs software ground truth -------------

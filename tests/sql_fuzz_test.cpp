@@ -149,10 +149,29 @@ class QueryGen
         return s;
     }
 
+    /**
+     * The Figure-4 per-read probe: inside a FOR body, a LIMIT window over
+     * a stored table, its offset read off the loop row. Tables have 40
+     * rows with pos = 3 * row, so offsets run from inside the table to
+     * its end and past it; counts include 0. The closing SELECT makes
+     * the appended rows the script's result.
+     */
+    std::string
+    windowProbe()
+    {
+        static const char *const kCounts[] = {"0", "1", "7", "40",
+                                              "Row.k"};
+        return "SET @x = 0 - " + std::to_string(rng_.below(8)) +
+            ";\nFOR Row IN " + table() +
+            ":\n    INSERT INTO outt SELECT * FROM " + table() +
+            " LIMIT (Row.pos - @x), " + pick(kCounts) +
+            ";\nEND LOOP;\nSELECT * FROM outt";
+    }
+
     std::string
     statement()
     {
-        switch (rng_.below(8u)) {
+        switch (rng_.below(9u)) {
           case 0:
             return "DECLARE @x int";
           case 1:
@@ -174,6 +193,8 @@ class QueryGen
             return "CREATE TABLE re" + std::to_string(rng_.below(10)) +
                 " AS ReadExplode (x.POS, x.CIGAR, x.SEQ, x.QUAL)"
                 " FROM x";
+          case 7:
+            return windowProbe();
           default:
             return selectStmt();
         }

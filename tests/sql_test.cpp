@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/logging.h"
 #include "core/example_accel.h"
 #include "sql/lexer.h"
@@ -63,6 +65,20 @@ TEST(Lexer, RejectsBadInput)
     EXPECT_THROW(tokenize("'unterminated"), FatalError);
     EXPECT_THROW(tokenize("a ? b"), FatalError);
     EXPECT_THROW(tokenize("/* open"), FatalError);
+}
+
+TEST(Lexer, OutOfRangeIntegerLiteralFatal)
+{
+    EXPECT_EQ(tokenize("9223372036854775807")[0].intValue,
+              std::numeric_limits<int64_t>::max());
+    try {
+        tokenize("SELECT POS FROM READS\nLIMIT 99999999999999999999;");
+        FAIL() << "out-of-range literal accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: integer literal "
+                               "'99999999999999999999' out of range at "
+                               "line 2");
+    }
 }
 
 TEST(Parser, ExpressionPrecedence)

@@ -219,6 +219,29 @@ TEST(GenomicSchema, RefTableWindowsAndOverlap)
     EXPECT_EQ(ref.at(0, "IS_SNP").asBlob().size(), 10'151u);
 }
 
+TEST(GenomicSchema, RefPartitionStagesTheRowWithItsPid)
+{
+    auto w = test::makeSmallWorkload(4, 10, 25'000, 3);
+    ASSERT_EQ(w.genome.numChromosomes(), 3u);
+    Table ref = buildRefTable(w.genome, 10'000, 151);
+    for (size_t r = 0; r < ref.numRows(); ++r) {
+        int64_t pid = ref.at(r, "PID").asInt();
+        Table want = ref.emptyLike("REF");
+        std::vector<Value> row;
+        for (size_t c = 0; c < ref.numColumns(); ++c)
+            row.push_back(ref.at(r, c));
+        want.appendRow(row);
+        EXPECT_TRUE(buildRefPartition(w.genome, pid, 10'000, 151)
+                        .contentEquals(want))
+            << "pid " << pid;
+    }
+    // A PID with no window (chromosome 9 does not exist) stages no row.
+    Partitioner p(10'000, 151);
+    EXPECT_EQ(buildRefPartition(w.genome, p.pid(9, 0), 10'000, 151)
+                  .numRows(),
+              0u);
+}
+
 TEST(Partitioner, PidDistinctAcrossChromosomesAndWindows)
 {
     Partitioner p(1'000'000);
