@@ -13,10 +13,12 @@
 
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <string>
 #include <tuple>
 
 #include "core/bqsr_accel.h"
+#include "core/example_accel.h"
 #include "core/markdup_accel.h"
 #include "core/metadata_accel.h"
 #include "gatk/bqsr.h"
@@ -33,41 +35,78 @@ struct PinnedRun {
     uint64_t seed;
     uint64_t totalCycles;
     uint64_t statDigest;
+    double dmaSeconds;
+    double accelSeconds;
 };
 
 /**
- * Simulated cycles and stat digest (test::statDigest) of every grid
- * point, one table per accelerator, so a drift in the scheduler's or
- * the memory arbiters' multi-lane (3- and 5-pipeline) results fails
- * here rather than only in a downstream bench. BQSR and Metadata
- * Update put several memory ports behind each local arbiter and load
- * the banks far harder than MarkDup's two ports per pipeline, so their
- * rows pin arbitration and bank-conflict accounting. Update these only
- * for a deliberate change to the modeled hardware.
+ * Simulated cycles, stat digest (test::statDigest) and modeled DMA and
+ * accelerator seconds of every grid point, one table per accelerator,
+ * so a drift in the scheduler's or the memory arbiters' multi-lane (3-
+ * and 5-pipeline) results fails here rather than only in a downstream
+ * bench. BQSR and Metadata Update put several memory ports behind each
+ * local arbiter and load the banks far harder than MarkDup's two ports
+ * per pipeline, so their rows pin arbitration and bank-conflict
+ * accounting. The seconds are hex-float literals compared exactly: the
+ * DMA seconds depend on which columns the host stages and in which
+ * order it sums the transfers. Update these only for a deliberate
+ * change to the modeled hardware.
  */
 constexpr PinnedRun kPinnedMarkDup[] = {
-    {60, 5, 19'224, 4707762294587321ull},
-    {60, 17, 19'829, 6815095692869401248ull},
-    {300, 5, 31'444, 13370586055922107439ull},
-    {300, 17, 32'658, 908425289161630154ull},
-    {700, 5, 45'551, 15587225018735256916ull},
-    {700, 17, 46'160, 10795923898056628353ull},
+    {60, 5, 19'224, 4707762294587321ull,
+     0x1.66f2d346b977ep-15, 0x1.4286738849207p-14},
+    {60, 17, 19'829, 6815095692869401248ull,
+     0x1.67b107ef1f25ep-15, 0x1.4cace8113212bp-14},
+    {300, 5, 31'444, 13370586055922107439ull,
+     0x1.185b3453004bdp-13, 0x1.07c579cfd84d9p-13},
+    {300, 17, 32'658, 908425289161630154ull,
+     0x1.1978834f98d0ep-13, 0x1.11f4855eb5534p-13},
+    {700, 5, 45'551, 15587225018735256916ull,
+     0x1.e8cea39dda899p-13, 0x1.7e1c071412d3ep-13},
+    {700, 17, 46'160, 10795923898056628353ull,
+     0x1.e9bc657059a2fp-13, 0x1.8337d85e7b607p-13},
 };
 constexpr PinnedRun kPinnedMetadata[] = {
-    {60, 5, 106'176, 12865785474082268559ull},
-    {60, 17, 106'829, 17053821876279295506ull},
-    {300, 5, 81'647, 7626295744749759832ull},
-    {300, 17, 83'473, 3379457861677602504ull},
-    {700, 5, 107'734, 3838919721618621704ull},
-    {700, 17, 106'575, 13703326069496703117ull},
+    {60, 5, 106'176, 12865785474082268559ull,
+     0x1.05df0364fa71ep-9, 0x1.bd559ca5cec26p-12},
+    {60, 17, 106'829, 17053821876279295506ull,
+     0x1.05e5a96dbaa4ep-9, 0x1.c012c3ebc1737p-12},
+    {300, 5, 81'647, 7626295744749759832ull,
+     0x1.67ef7b078be3p-9, 0x1.5673cc77dfacep-12},
+    {300, 17, 83'473, 3379457861677602504ull,
+     0x1.681538406aa46p-9, 0x1.5e1c7386bdfd6p-12},
+    {700, 5, 107'734, 3838919721618621704ull,
+     0x1.09c994d2af4c5p-8, 0x1.c3de806d3c884p-12},
+    {700, 17, 106'575, 13703326069496703117ull,
+     0x1.09dab90d6c132p-8, 0x1.bf0208eebc0aep-12},
 };
 constexpr PinnedRun kPinnedBqsr[] = {
-    {60, 5, 1'506'590, 12271431443262784483ull},
-    {60, 17, 1'415'875, 7452670088712735843ull},
-    {300, 5, 926'560, 2617803908536137003ull},
-    {300, 17, 925'550, 14453648363515081929ull},
-    {700, 5, 882'063, 18366848561403211710ull},
-    {700, 17, 879'446, 15873312945676381516ull},
+    {60, 5, 1'506'590, 12271431443262784483ull,
+     0x1.1f17e79368dcdp-7, 0x1.8af18b1d2a079p-8},
+    {60, 17, 1'415'875, 7452670088712735843ull,
+     0x1.0e2f96c7baa7fp-7, 0x1.7329c347e8ccep-8},
+    {300, 5, 926'560, 2617803908536137003ull,
+     0x1.fb4a33caba1e2p-7, 0x1.e5c8c72ea8342p-9},
+    {300, 17, 925'550, 14453648363515081929ull,
+     0x1.fb5354410d72ep-7, 0x1.e54137d8b461ap-9},
+    {700, 5, 882'063, 18366848561403211710ull,
+     0x1.7485d25d9a48ap-6, 0x1.ce747de772a6bp-9},
+    {700, 17, 879'446, 15873312945676381516ull,
+     0x1.7489c671aa02ap-6, 0x1.cd153e78023c9p-9},
+};
+constexpr PinnedRun kPinnedExample[] = {
+    {60, 5, 104'586, 3983850631381014108ull,
+     0x1.5df85164d793bp-10, 0x1.b6aa5cc690aedp-12},
+    {60, 17, 105'275, 7909609213481668507ull,
+     0x1.5dff161b3f53p-10, 0x1.b98e2ba74db73p-12},
+    {300, 5, 80'436, 12709365562568495985ull,
+     0x1.e038bccffbd8cp-10, 0x1.515f7f52acb16p-12},
+    {300, 17, 82'495, 3643995297258816609ull,
+     0x1.e05f780d1cf04p-10, 0x1.5a0254eeefb76p-12},
+    {700, 5, 106'031, 5413527271718305196ull,
+     0x1.62119f5fcc1fcp-9, 0x1.bcb9eb59e6e25p-12},
+    {700, 17, 105'299, 15559652074141715822ull,
+     0x1.6222f724ac9f2p-9, 0x1.b9a7f0b929f18p-12},
 };
 
 /** (read pairs, seed) — the grid axes. */
@@ -99,8 +138,7 @@ class DifferentialGoldenModel
     /** Expect one run to reproduce this grid point's row of `pins`. */
     template <size_t N>
     void
-    expectPinned(const PinnedRun (&pins)[N], uint64_t total_cycles,
-                 const std::map<std::string, uint64_t> &stats) const
+    expectPinned(const PinnedRun (&pins)[N], const AccelRunInfo &info) const
     {
         const PinnedRun *pinned = nullptr;
         for (const auto &run : pins) {
@@ -108,10 +146,16 @@ class DifferentialGoldenModel
                 pinned = &run;
         }
         ASSERT_NE(pinned, nullptr) << "no pinned values for this grid point";
-        EXPECT_EQ(total_cycles, pinned->totalCycles)
+        EXPECT_EQ(info.totalCycles, pinned->totalCycles)
             << "pinned cycle drift, pairs=" << pairs_ << " seed=" << seed_;
-        EXPECT_EQ(test::statDigest(stats), pinned->statDigest)
+        EXPECT_EQ(test::statDigest(info.stats.counters()),
+                  pinned->statDigest)
             << "pinned stat drift, pairs=" << pairs_ << " seed=" << seed_;
+        EXPECT_EQ(info.timing.dmaSeconds, pinned->dmaSeconds)
+            << "pinned DMA drift, pairs=" << pairs_ << " seed=" << seed_;
+        EXPECT_EQ(info.timing.accelSeconds, pinned->accelSeconds)
+            << "pinned accelerator-time drift, pairs=" << pairs_
+            << " seed=" << seed_;
     }
 
     int64_t pairs_ = 0;
@@ -154,8 +198,7 @@ TEST_P(DifferentialGoldenModel, MetadataTagsMatchSoftwareExactly)
     auto result = MetadataAccelerator(cfg).run(hw_reads,
                                                workload_.genome);
     EXPECT_EQ(result.readsTagged, static_cast<int64_t>(hw_reads.size()));
-    expectPinned(kPinnedMetadata, result.info.totalCycles,
-                 result.info.stats.counters());
+    expectPinned(kPinnedMetadata, result.info);
 
     gatk::setNmMdUqTags(sw_reads, workload_.genome);
     ASSERT_EQ(hw_reads.size(), sw_reads.size());
@@ -185,7 +228,23 @@ TEST_P(DifferentialGoldenModel, BqsrTableMatchesSoftwareExactly)
     EXPECT_TRUE(hw.table == sw)
         << "covariate tables differ, pairs=" << pairs_
         << " seed=" << seed_;
-    expectPinned(kPinnedBqsr, hw.info.totalCycles, hw.info.stats.counters());
+    expectPinned(kPinnedBqsr, hw.info);
+}
+
+TEST_P(DifferentialGoldenModel, ExampleCountsMatchSoftwareExactly)
+{
+    ExampleAccelConfig cfg;
+    cfg.numPipelines = pipelinesForSize();
+    cfg.psize = 8'192;
+    auto hw = ExampleAccelerator(cfg).run(workload_.reads.reads,
+                                          workload_.genome);
+
+    std::vector<size_t> all(workload_.reads.reads.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    EXPECT_EQ(hw.counts, matchCountsSoftware(workload_.reads.reads, all,
+                                             workload_.genome))
+        << "match counts differ, pairs=" << pairs_ << " seed=" << seed_;
+    expectPinned(kPinnedExample, hw.info);
 }
 
 TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
@@ -200,32 +259,30 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
         auto reads = workload_.reads.reads;
         MarkDupAccelConfig cfg;
         cfg.numPipelines = pipelinesForSize();
-        auto r = MarkDupAccelerator(cfg).run(reads);
-        return std::make_pair(r.info.totalCycles,
-                              r.info.stats.counters());
+        return MarkDupAccelerator(cfg).run(reads).info;
     };
-    auto base = run_once();
-    EXPECT_GT(base.first, 0u);
-    expectPinned(kPinnedMarkDup, base.first, base.second);
+    const AccelRunInfo base = run_once();
+    EXPECT_GT(base.totalCycles, 0u);
+    expectPinned(kPinnedMarkDup, base);
     {
         ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
-        auto no_sleep = run_once();
+        const AccelRunInfo no_sleep = run_once();
         ::unsetenv("GENESIS_SIM_NO_SLEEP");
-        EXPECT_EQ(base.first, no_sleep.first)
+        EXPECT_EQ(base.totalCycles, no_sleep.totalCycles)
             << "cycle drift with sleep disabled, pairs=" << pairs_
             << " seed=" << seed_;
-        EXPECT_EQ(base.second, no_sleep.second);
+        EXPECT_EQ(base.stats.counters(), no_sleep.stats.counters());
     }
     {
         ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
         ::setenv("GENESIS_SIM_NO_FASTFORWARD", "1", 1);
-        auto plain = run_once();
+        const AccelRunInfo plain = run_once();
         ::unsetenv("GENESIS_SIM_NO_FASTFORWARD");
         ::unsetenv("GENESIS_SIM_NO_SLEEP");
-        EXPECT_EQ(base.first, plain.first)
+        EXPECT_EQ(base.totalCycles, plain.totalCycles)
             << "cycle drift vs tick-everything, pairs=" << pairs_
             << " seed=" << seed_;
-        EXPECT_EQ(base.second, plain.second);
+        EXPECT_EQ(base.stats.counters(), plain.stats.counters());
     }
 }
 
