@@ -13,15 +13,9 @@
  * Pass `--trace out.json` to capture a cycle-accurate activity trace of
  * the three accelerators (Chrome trace-event JSON, loadable in Perfetto
  * or chrome://tracing) and print a per-module utilization summary.
- *
- * Pass `--sessions N` to run the Mark Duplicates stage as shards over N
- * concurrent accelerator sessions (BatchRunner double-buffering: host
- * encode of shard k+1 overlaps execution of shard k). Results are
- * bit-for-bit identical to the single-session default.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -39,20 +33,11 @@ int
 main(int argc, char **argv)
 {
     const char *trace_path = nullptr;
-    int sessions = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
             trace_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--sessions") == 0 &&
-                   i + 1 < argc) {
-            sessions = std::atoi(argv[++i]);
-            if (sessions < 1) {
-                std::fprintf(stderr, "--sessions needs a count >= 1\n");
-                return 2;
-            }
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--trace out.json] [--sessions N]\n",
+            std::fprintf(stderr, "usage: %s [--trace out.json]\n",
                          argv[0]);
             return 2;
         }
@@ -85,18 +70,12 @@ main(int argc, char **argv)
 
     core::MarkDupAccelConfig md_cfg;
     md_cfg.numPipelines = 8;
-    md_cfg.concurrentSessions = sessions;
     if (trace_path) {
         md_cfg.runtime.trace = &trace;
         md_cfg.runtime.traceLabel = "markdup";
     }
     auto md = core::MarkDupAccelerator(md_cfg).run(hw_reads);
-    if (sessions > 1)
-        std::printf("\nMark Duplicates accelerator "
-                    "(%d concurrent sessions)", sessions);
-    else
-        std::printf("\nMark Duplicates accelerator");
-    std::printf("\n  %s\n  %lld duplicates "
+    std::printf("\nMark Duplicates accelerator\n  %s\n  %lld duplicates "
                 "marked across %lld sets\n",
                 md.info.timing.str().c_str(),
                 static_cast<long long>(md.stats.duplicatesMarked),

@@ -1,8 +1,10 @@
 #include "core/accel_common.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "base/logging.h"
+#include "base/timer.h"
 
 namespace genesis::core {
 
@@ -69,6 +71,119 @@ RefColumns::fromGenome(const genome::ReferenceGenome &genome, uint8_t chr,
         cols.isSnp.push_back(chrom.isSnp[static_cast<size_t>(p)] ? 1 : 0);
     }
     return cols;
+}
+
+PipelineInputs
+stagePartition(runtime::AcceleratorSession &session,
+               const pipeline::PipelineBuilder &builder,
+               const std::vector<genome::AlignedRead> &reads,
+               const genome::ReferenceGenome &genome,
+               const table::ReadPartition &part, int64_t psize,
+               int64_t overlap, unsigned columns)
+{
+    ReadColumns cols = ReadColumns::fromReads(reads, part.readIndices);
+    // Deletions can stretch a read's reference span past the nominal LEN
+    // overlap; size the window to cover the longest read in this
+    // partition.
+    for (size_t idx : part.readIndices)
+        overlap = std::max(overlap, reads[idx].endPos() - part.windowEnd);
+    RefColumns ref = RefColumns::fromGenome(genome, part.chr,
+                                            part.windowStart,
+                                            part.windowEnd, overlap);
+
+    // A scalar column (lens == nullptr) holds one element per row.
+    auto upload = [&](unsigned column, const char *name,
+                      std::vector<int64_t> &elements,
+                      std::vector<uint32_t> *lens, uint32_t elem_bytes)
+        -> const modules::ColumnBuffer * {
+        if (!(columns & column))
+            return nullptr;
+        std::vector<uint32_t> row_lengths =
+            lens ? std::move(*lens) : ReadColumns::scalarLens(elements.size());
+        return session.configureMem(builder.scopedName(name),
+                                    std::move(elements),
+                                    std::move(row_lengths), elem_bytes);
+    };
+    PipelineInputs in;
+    in.pos = upload(kPos, "READS.POS", cols.pos, nullptr, 4);
+    in.endpos = upload(kEndPos, "READS.ENDPOS", cols.endpos, nullptr, 4);
+    in.cigar = upload(kCigar, "READS.CIGAR", cols.cigar, &cols.cigarLens, 2);
+    in.seq = upload(kSeq, "READS.SEQ", cols.seq, &cols.seqLens, 1);
+    in.qual = upload(kQual, "READS.QUAL", cols.qual, &cols.qualLens, 1);
+    in.flags = upload(kFlags, "READS.FLAGS", cols.flags, nullptr, 2);
+    in.refSeq = upload(kRefSeq, "REFS.SEQ", ref.seq, nullptr, 1);
+    in.refSnp = upload(kRefSnp, "REFS.IS_SNP", ref.isSnp, nullptr, 1);
+    in.windowStart = part.windowStart;
+    in.spmWords = static_cast<size_t>(psize + overlap);
+    return in;
+}
+
+void
+runBatches(size_t items, int num_pipelines,
+           const runtime::RuntimeConfig &runtime, AccelRunInfo &info,
+           const WireFn &wire, const CollectFn &collect)
+{
+    const size_t lanes = static_cast<size_t>(num_pipelines);
+    for (size_t base = 0; base < items; base += lanes) {
+        runtime::AcceleratorSession session(runtime);
+        const size_t batch = std::min(lanes, items - base);
+        std::vector<std::vector<modules::ColumnBuffer *>> outputs(batch);
+        {
+            ScopedTimer timer(info.prepSeconds);
+            for (size_t p = 0; p < batch; ++p) {
+                pipeline::PipelineBuilder builder(session.sim(),
+                                                  static_cast<int>(p));
+                outputs[p] = wire(session, builder, base + p);
+            }
+        }
+
+        session.start();
+        session.wait();
+        info.totalCycles += session.sim().cycle();
+        ++info.batches;
+        info.stats.merge(session.sim().collectStats());
+
+        for (size_t p = 0; p < batch; ++p) {
+            std::vector<const modules::ColumnBuffer *> flushed;
+            for (const modules::ColumnBuffer *out : outputs[p])
+                flushed.push_back(session.flush(out->name));
+            ScopedTimer timer(info.timing.hostSeconds);
+            collect(base + p, flushed);
+        }
+        info.timing += session.timing();
+    }
+}
+
+pipeline::HardwareCensus
+censusOf(int num_pipelines, size_t spm_words,
+         const std::function<void(runtime::AcceleratorSession &,
+                                  pipeline::PipelineBuilder &,
+                                  const PipelineInputs &)> &wire)
+{
+    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
+    modules::ColumnBuffer placeholder;
+    PipelineInputs in;
+    in.pos = in.endpos = in.cigar = in.seq = in.qual = in.flags =
+        in.refSeq = in.refSnp = &placeholder;
+    in.spmWords = spm_words;
+    pipeline::HardwareCensus census;
+    for (int p = 0; p < num_pipelines; ++p) {
+        pipeline::PipelineBuilder builder(session.sim(), p);
+        wire(session, builder, in);
+        census.merge(builder.census());
+    }
+    return census;
+}
+
+void
+scatterRows(const modules::ColumnBuffer &flushed,
+            const std::vector<size_t> &rows, std::vector<int64_t> &dst)
+{
+    GENESIS_ASSERT(flushed.elements.size() == rows.size(),
+                   "%s holds %zu rows, expected %zu", flushed.name.c_str(),
+                   flushed.elements.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        dst[rows[i]] = flushed.elements[i];
 }
 
 } // namespace genesis::core

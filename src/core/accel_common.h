@@ -1,20 +1,25 @@
 /**
  * @file
- * Shared host-side plumbing for the Genesis accelerators: decomposing
- * read sets into the per-column element streams configure_mem uploads,
- * and aggregate result bookkeeping (timing, census, cycle counts).
+ * The host driver every Genesis accelerator runs through (paper
+ * Sections III-B and III-E, Figure 8): decompose a partition's reads
+ * into the column streams configure_mem uploads (stagePartition), run
+ * the work items numPipelines at a time, one accelerator invocation per
+ * batch, flushing and collecting each lane's outputs (runBatches), and
+ * count the hardware a design instantiates (censusOf).
  */
 
 #ifndef GENESIS_CORE_ACCEL_COMMON_H
 #define GENESIS_CORE_ACCEL_COMMON_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "genome/read.h"
 #include "genome/reference.h"
 #include "pipeline/builder.h"
 #include "runtime/api.h"
+#include "table/partition.h"
 
 namespace genesis::core {
 
@@ -73,34 +78,98 @@ struct AccelRunInfo {
      * separately here for transparency.
      */
     double prepSeconds = 0.0;
-    pipeline::HardwareCensus census;
     uint64_t totalCycles = 0; ///< summed across sequential batches
     uint64_t batches = 0;
     StatRegistry stats; ///< merged simulator statistics
 };
 
-/** Stopwatch accumulating into a plain double (prep accounting). */
-class PrepTimer
-{
-  public:
-    explicit PrepTimer(double &sink)
-        : sink_(sink), start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~PrepTimer()
-    {
-        sink_ += std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start_).count();
-    }
-
-    PrepTimer(const PrepTimer &) = delete;
-    PrepTimer &operator=(const PrepTimer &) = delete;
-
-  private:
-    double &sink_;
-    std::chrono::steady_clock::time_point start_;
+/** Device buffers of the columns one pipeline reads. */
+struct PipelineInputs {
+    const modules::ColumnBuffer *pos = nullptr;
+    const modules::ColumnBuffer *endpos = nullptr;
+    const modules::ColumnBuffer *cigar = nullptr;
+    const modules::ColumnBuffer *seq = nullptr;
+    const modules::ColumnBuffer *qual = nullptr;
+    const modules::ColumnBuffer *flags = nullptr;
+    const modules::ColumnBuffer *refSeq = nullptr;
+    const modules::ColumnBuffer *refSnp = nullptr;
+    /** First reference position held in the reference SPM. */
+    int64_t windowStart = 0;
+    /** Reference SPM size: the window plus its (stretched) overlap. */
+    size_t spmWords = 1;
 };
+
+/** Column bits selecting what stagePartition() uploads. */
+enum StagedColumn : unsigned {
+    kPos = 1u << 0,
+    kEndPos = 1u << 1,
+    kCigar = 1u << 2,
+    kSeq = 1u << 3,
+    kQual = 1u << 4,
+    kFlags = 1u << 5,
+    kRefSeq = 1u << 6,
+    kRefSnp = 1u << 7,
+};
+
+/**
+ * configure_mem the `columns` of one read partition and its reference
+ * window into `session`, named under `builder`'s pipeline scope. The
+ * uploads always run in the order POS, ENDPOS, CIGAR, SEQ, QUAL, FLAGS,
+ * REFS.SEQ, REFS.IS_SNP: upload order sets device addresses, which set
+ * channel interleaving, so it is part of the modeled hardware. The
+ * reference window spans [windowStart, windowEnd + overlap), with the
+ * overlap stretched to cover the partition's longest read.
+ */
+PipelineInputs stagePartition(runtime::AcceleratorSession &session,
+                              const pipeline::PipelineBuilder &builder,
+                              const std::vector<genome::AlignedRead> &reads,
+                              const genome::ReferenceGenome &genome,
+                              const table::ReadPartition &part,
+                              int64_t psize, int64_t overlap,
+                              unsigned columns);
+
+/**
+ * Wires work item `item` as one pipeline lane (uploading its inputs
+ * before creating its outputs) and returns the lane's output buffers in
+ * the order they are flushed.
+ */
+using WireFn = std::function<std::vector<modules::ColumnBuffer *>(
+    runtime::AcceleratorSession &session, pipeline::PipelineBuilder &builder,
+    size_t item)>;
+
+/** Consumes the flushed outputs of work item `item`, in wire order. */
+using CollectFn = std::function<void(
+    size_t item, const std::vector<const modules::ColumnBuffer *> &outputs)>;
+
+/**
+ * Run `items` work items `num_pipelines` at a time, one accelerator
+ * session per batch: wire each lane, run, flush every lane's outputs
+ * and collect them. Wiring (encode, upload, build) is charged to
+ * info.prepSeconds, flushing to the modeled DMA ledger and collecting
+ * to host seconds; cycles, batches and statistics accumulate in `info`.
+ */
+void runBatches(size_t items, int num_pipelines,
+                const runtime::RuntimeConfig &runtime, AccelRunInfo &info,
+                const WireFn &wire, const CollectFn &collect);
+
+/**
+ * The hardware census of `num_pipelines` lanes of one design: `wire`
+ * builds a lane on placeholder inputs (reference SPM of `spm_words`) in
+ * a throwaway session. The census describes the design, not a run.
+ */
+pipeline::HardwareCensus
+censusOf(int num_pipelines, size_t spm_words,
+         const std::function<void(runtime::AcceleratorSession &,
+                                  pipeline::PipelineBuilder &,
+                                  const PipelineInputs &)> &wire);
+
+/**
+ * dst[rows[i]] = flushed.elements[i] for every row; panics unless the
+ * buffer holds exactly rows.size() elements.
+ */
+void scatterRows(const modules::ColumnBuffer &flushed,
+                 const std::vector<size_t> &rows,
+                 std::vector<int64_t> &dst);
 
 } // namespace genesis::core
 

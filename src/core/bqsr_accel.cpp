@@ -1,8 +1,7 @@
 #include "core/bqsr_accel.h"
 
-#include <algorithm>
-
 #include "base/logging.h"
+#include "base/timer.h"
 #include "modules/binidgen.h"
 #include "modules/filter.h"
 #include "modules/fork.h"
@@ -22,45 +21,24 @@ using sim::Flit;
 
 namespace {
 
-/** The four covariate-count output buffers of one BQSR pipeline. */
-struct BqsrOutputs {
-    ColumnBuffer *cycleTotals = nullptr;
-    ColumnBuffer *contextTotals = nullptr;
-    ColumnBuffer *cycleErrors = nullptr;
-    ColumnBuffer *contextErrors = nullptr;
-};
-
-struct BqsrInputs {
-    const ColumnBuffer *pos = nullptr;
-    const ColumnBuffer *endpos = nullptr;
-    const ColumnBuffer *cigar = nullptr;
-    const ColumnBuffer *seq = nullptr;
-    const ColumnBuffer *qual = nullptr;
-    const ColumnBuffer *flags = nullptr;
-    const ColumnBuffer *refSeq = nullptr;
-    const ColumnBuffer *refSnp = nullptr;
-    int64_t windowStart = 0;
-    size_t spmWords = 1;
-    gatk::BqsrConfig bqsr;
-};
-
-/** Wire one Figure-12 pipeline. */
-BqsrOutputs
+/**
+ * Wire one Figure-12 pipeline; returns its TOT1, TOT2, ERR1 and ERR2
+ * (cycle/context totals and errors) buffers.
+ */
+std::vector<ColumnBuffer *>
 buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
-              const BqsrInputs &in)
+              const PipelineInputs &in, const gatk::BqsrConfig &bqsr)
 {
     modules::BinIdGenConfig bin_cfg;
-    bin_cfg.numCycleValues = in.bqsr.numCycleValues;
-    bin_cfg.readLength = in.bqsr.readLength;
-    bin_cfg.numContextTypes = in.bqsr.numContextTypes;
-    const size_t cycle_bins = in.bqsr.cycleTableSize();
-    const size_t context_bins = in.bqsr.contextTableSize();
+    bin_cfg.numCycleValues = bqsr.numCycleValues;
+    bin_cfg.readLength = bqsr.readLength;
+    bin_cfg.numContextTypes = bqsr.numContextTypes;
+    const size_t cycle_bins = bqsr.cycleTableSize();
+    const size_t context_bins = bqsr.contextTableSize();
 
-    BqsrOutputs outs;
-    outs.cycleTotals = s.configureOutput(b.scopedName("TOT1"), 4);
-    outs.contextTotals = s.configureOutput(b.scopedName("TOT2"), 4);
-    outs.cycleErrors = s.configureOutput(b.scopedName("ERR1"), 4);
-    outs.contextErrors = s.configureOutput(b.scopedName("ERR2"), 4);
+    std::vector<ColumnBuffer *> outs;
+    for (const char *name : {"TOT1", "TOT2", "ERR1", "ERR2"})
+        outs.push_back(s.configureOutput(b.scopedName(name), 4));
 
     // Queues.
     auto *pos_q = b.queue("pos");
@@ -218,10 +196,10 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
                                      std::string("wr_") + name, out,
                                      b.port(), q, wr);
     };
-    drain("tot1", tot1_spm, upd_tot1, dr_tot1_q, outs.cycleTotals);
-    drain("tot2", tot2_spm, upd_tot2, dr_tot2_q, outs.contextTotals);
-    drain("err1", err1_spm, upd_err1, dr_err1_q, outs.cycleErrors);
-    drain("err2", err2_spm, upd_err2, dr_err2_q, outs.contextErrors);
+    drain("tot1", tot1_spm, upd_tot1, dr_tot1_q, outs[0]);
+    drain("tot2", tot2_spm, upd_tot2, dr_tot2_q, outs[1]);
+    drain("err1", err1_spm, upd_err1, dr_err1_q, outs[2]);
+    drain("err2", err2_spm, upd_err2, dr_err2_q, outs[3]);
     return outs;
 }
 
@@ -239,19 +217,11 @@ BqsrAccelerator::BqsrAccelerator(const BqsrAccelConfig &config)
 pipeline::HardwareCensus
 BqsrAccelerator::census(int num_pipelines, int64_t psize, int64_t overlap)
 {
-    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
-    ColumnBuffer dummy;
-    BqsrInputs in;
-    in.pos = in.endpos = in.cigar = in.seq = in.qual = in.flags = &dummy;
-    in.refSeq = in.refSnp = &dummy;
-    in.spmWords = static_cast<size_t>(psize + overlap);
-    pipeline::HardwareCensus census;
-    for (int p = 0; p < num_pipelines; ++p) {
-        PipelineBuilder builder(session.sim(), p);
-        buildPipeline(builder, session, in);
-        census.merge(builder.census());
-    }
-    return census;
+    return censusOf(num_pipelines, static_cast<size_t>(psize + overlap),
+                    [](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                       const PipelineInputs &in) {
+                        buildPipeline(b, s, in, gatk::BqsrConfig{});
+                    });
 }
 
 BqsrAccelResult
@@ -266,113 +236,40 @@ BqsrAccelerator::run(const std::vector<genome::AlignedRead> &reads,
     {
         // Pre-partitioning (by window, then read group) is software
         // preparation ahead of the stage, per Section IV-D.
-        PrepTimer timer(result.info.prepSeconds);
+        ScopedTimer timer(result.info.prepSeconds);
         partitions = partitioner.partitionReadsByGroup(reads);
     }
 
-    for (size_t base = 0; base < partitions.size();
-         base += static_cast<size_t>(config_.numPipelines)) {
-        runtime::AcceleratorSession session(config_.runtime);
-        size_t batch = std::min<size_t>(
-            static_cast<size_t>(config_.numPipelines),
-            partitions.size() - base);
-
-        struct PipelineRun {
-            BqsrOutputs outs;
-            uint16_t readGroup = 0;
+    auto wire = [&](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                    size_t item) {
+        PipelineInputs in = stagePartition(
+            s, b, reads, genome, partitions[item], config_.psize,
+            config_.overlap,
+            kPos | kEndPos | kCigar | kSeq | kQual | kFlags | kRefSeq |
+                kRefSnp);
+        return buildPipeline(b, s, in, config_.bqsr);
+    };
+    auto collect = [&](size_t item,
+                       const std::vector<const ColumnBuffer *> &outs) {
+        size_t rg = partitions[item].readGroup;
+        GENESIS_ASSERT(rg < result.table.cycleTotals.size(),
+                       "read group %zu out of range", rg);
+        auto accumulate = [](std::vector<int64_t> &dst,
+                             const ColumnBuffer *src) {
+            GENESIS_ASSERT(src->elements.size() == dst.size(),
+                           "%s holds %zu bins, table has %zu",
+                           src->name.c_str(), src->elements.size(),
+                           dst.size());
+            for (size_t i = 0; i < dst.size(); ++i)
+                dst[i] += src->elements[i];
         };
-        std::vector<PipelineRun> runs(batch);
-        {
-            PrepTimer timer(result.info.prepSeconds);
-            for (size_t p = 0; p < batch; ++p) {
-                const auto &part = partitions[base + p];
-                runs[p].readGroup = part.readGroup;
-                ReadColumns cols =
-                    ReadColumns::fromReads(reads, part.readIndices);
-                int64_t overlap = config_.overlap;
-                for (size_t idx : part.readIndices) {
-                    overlap = std::max(overlap, reads[idx].endPos() -
-                                       part.windowEnd);
-                }
-                RefColumns ref = RefColumns::fromGenome(
-                    genome, part.chr, part.windowStart, part.windowEnd,
-                    overlap);
-
-                PipelineBuilder builder(session.sim(),
-                                        static_cast<int>(p));
-                BqsrInputs in;
-                in.bqsr = config_.bqsr;
-                in.pos = session.configureMem(
-                    builder.scopedName("READS.POS"), std::move(cols.pos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.endpos = session.configureMem(
-                    builder.scopedName("READS.ENDPOS"),
-                    std::move(cols.endpos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.cigar = session.configureMem(
-                    builder.scopedName("READS.CIGAR"),
-                    std::move(cols.cigar), std::move(cols.cigarLens), 2);
-                in.seq = session.configureMem(
-                    builder.scopedName("READS.SEQ"), std::move(cols.seq),
-                    std::move(cols.seqLens), 1);
-                in.qual = session.configureMem(
-                    builder.scopedName("READS.QUAL"),
-                    std::move(cols.qual), std::move(cols.qualLens), 1);
-                in.flags = session.configureMem(
-                    builder.scopedName("READS.FLAGS"),
-                    std::move(cols.flags),
-                    ReadColumns::scalarLens(cols.numReads), 2);
-                in.refSeq = session.configureMem(
-                    builder.scopedName("REFS.SEQ"), std::move(ref.seq),
-                    ReadColumns::scalarLens(
-                        static_cast<size_t>(ref.seq.size())), 1);
-                in.refSnp = session.configureMem(
-                    builder.scopedName("REFS.IS_SNP"),
-                    std::move(ref.isSnp),
-                    ReadColumns::scalarLens(
-                        static_cast<size_t>(ref.isSnp.size())), 1);
-                in.windowStart = part.windowStart;
-                in.spmWords =
-                    static_cast<size_t>(config_.psize + overlap);
-                runs[p].outs = buildPipeline(builder, session, in);
-                if (result.info.batches == 0)
-                    result.info.census.merge(builder.census());
-            }
-        }
-
-        session.start();
-        session.wait();
-        result.info.totalCycles += session.sim().cycle();
-        ++result.info.batches;
-        result.info.stats.merge(session.sim().collectStats());
-
-        for (auto &run : runs) {
-            const ColumnBuffer *tot1 =
-                session.flush(run.outs.cycleTotals->name);
-            const ColumnBuffer *tot2 =
-                session.flush(run.outs.contextTotals->name);
-            const ColumnBuffer *err1 =
-                session.flush(run.outs.cycleErrors->name);
-            const ColumnBuffer *err2 =
-                session.flush(run.outs.contextErrors->name);
-            runtime::HostTimer timer(session);
-            size_t rg = run.readGroup;
-            GENESIS_ASSERT(rg < result.table.cycleTotals.size(),
-                           "read group %zu out of range", rg);
-            auto accumulate = [](std::vector<int64_t> &dst,
-                                 const ColumnBuffer *src) {
-                for (size_t i = 0;
-                     i < src->elements.size() && i < dst.size(); ++i) {
-                    dst[i] += src->elements[i];
-                }
-            };
-            accumulate(result.table.cycleTotals[rg], tot1);
-            accumulate(result.table.contextTotals[rg], tot2);
-            accumulate(result.table.cycleErrors[rg], err1);
-            accumulate(result.table.contextErrors[rg], err2);
-        }
-        result.info.timing += session.timing();
-    }
+        accumulate(result.table.cycleTotals[rg], outs[0]);
+        accumulate(result.table.contextTotals[rg], outs[1]);
+        accumulate(result.table.cycleErrors[rg], outs[2]);
+        accumulate(result.table.contextErrors[rg], outs[3]);
+    };
+    runBatches(partitions.size(), config_.numPipelines, config_.runtime,
+               result.info, wire, collect);
     return result;
 }
 

@@ -1,8 +1,7 @@
 #include "core/example_accel.h"
 
-#include <algorithm>
-
 #include "base/logging.h"
+#include "base/timer.h"
 #include "engine/executor.h"
 #include "modules/filter.h"
 #include "modules/fork.h"
@@ -118,21 +117,14 @@ matchCountsSqlEngine(const std::vector<genome::AlignedRead> &reads,
 
 namespace {
 
-struct ExampleInputs {
-    const ColumnBuffer *pos = nullptr;
-    const ColumnBuffer *endpos = nullptr;
-    const ColumnBuffer *cigar = nullptr;
-    const ColumnBuffer *seq = nullptr;
-    const ColumnBuffer *refSeq = nullptr;
-    int64_t windowStart = 0;
-    size_t spmWords = 1;
-    bool useSpm = true;
-};
-
-/** Wire one Figure-7 pipeline; returns the match-count output buffer. */
+/**
+ * Wire one Figure-7 pipeline; returns the match-count output buffer.
+ * Without `use_spm` a GatherReader re-fetches each read's reference
+ * span from device memory instead of an SPM (the ablate_spm design).
+ */
 ColumnBuffer *
 buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
-              const ExampleInputs &in)
+              const PipelineInputs &in, bool use_spm)
 {
     ColumnBuffer *out = s.configureOutput(b.scopedName("CNT"), 4);
 
@@ -165,7 +157,7 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
                          std::vector<sim::HardwareQueue *>{pos_rtb_q,
                                                            pos_spm_q});
 
-    if (in.useSpm) {
+    if (use_spm) {
         b.add<modules::MemoryReader>("MemoryReader", "rd_refseq",
                                      in.refSeq, b.port(), refseq_q,
                                      scalar_cfg);
@@ -235,18 +227,11 @@ pipeline::HardwareCensus
 ExampleAccelerator::census(int num_pipelines, int64_t psize,
                            int64_t overlap)
 {
-    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
-    ColumnBuffer dummy;
-    ExampleInputs in;
-    in.pos = in.endpos = in.cigar = in.seq = in.refSeq = &dummy;
-    in.spmWords = static_cast<size_t>(psize + overlap);
-    pipeline::HardwareCensus census;
-    for (int p = 0; p < num_pipelines; ++p) {
-        PipelineBuilder builder(session.sim(), p);
-        buildPipeline(builder, session, in);
-        census.merge(builder.census());
-    }
-    return census;
+    return censusOf(num_pipelines, static_cast<size_t>(psize + overlap),
+                    [](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                       const PipelineInputs &in) {
+                        buildPipeline(b, s, in, true);
+                    });
 }
 
 ExampleAccelResult
@@ -257,85 +242,26 @@ ExampleAccelerator::run(const std::vector<genome::AlignedRead> &reads,
     result.counts.assign(reads.size(), 0);
 
     table::Partitioner partitioner(config_.psize, config_.overlap);
-    auto partitions = partitioner.partitionReads(reads);
-
-    for (size_t base = 0; base < partitions.size();
-         base += static_cast<size_t>(config_.numPipelines)) {
-        runtime::AcceleratorSession session(config_.runtime);
-        size_t batch = std::min<size_t>(
-            static_cast<size_t>(config_.numPipelines),
-            partitions.size() - base);
-
-        std::vector<ColumnBuffer *> outs(batch);
-        {
-            PrepTimer timer(result.info.prepSeconds);
-            for (size_t p = 0; p < batch; ++p) {
-                const auto &part = partitions[base + p];
-                ReadColumns cols =
-                    ReadColumns::fromReads(reads, part.readIndices);
-                int64_t overlap = config_.overlap;
-                for (size_t idx : part.readIndices) {
-                    overlap = std::max(overlap, reads[idx].endPos() -
-                                       part.windowEnd);
-                }
-                RefColumns ref = RefColumns::fromGenome(
-                    genome, part.chr, part.windowStart, part.windowEnd,
-                    overlap);
-
-                PipelineBuilder builder(session.sim(),
-                                        static_cast<int>(p));
-                ExampleInputs in;
-                in.pos = session.configureMem(
-                    builder.scopedName("READS.POS"), std::move(cols.pos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.endpos = session.configureMem(
-                    builder.scopedName("READS.ENDPOS"),
-                    std::move(cols.endpos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.cigar = session.configureMem(
-                    builder.scopedName("READS.CIGAR"),
-                    std::move(cols.cigar), std::move(cols.cigarLens), 2);
-                in.seq = session.configureMem(
-                    builder.scopedName("READS.SEQ"), std::move(cols.seq),
-                    std::move(cols.seqLens), 1);
-                in.refSeq = session.configureMem(
-                    builder.scopedName("REFS.SEQ"), std::move(ref.seq),
-                    ReadColumns::scalarLens(
-                        static_cast<size_t>(ref.seq.size())), 1);
-                in.windowStart = part.windowStart;
-                in.spmWords =
-                    static_cast<size_t>(config_.psize + overlap);
-                in.useSpm = config_.useSpm;
-                outs[p] = buildPipeline(builder, session, in);
-                if (result.info.batches == 0)
-                    result.info.census.merge(builder.census());
-            }
-        }
-
-        session.start();
-        session.wait();
-        result.info.totalCycles += session.sim().cycle();
-        ++result.info.batches;
-        result.info.stats.merge(session.sim().collectStats());
-
-        {
-            runtime::HostTimer host_timer(session);
-            for (size_t p = 0; p < batch; ++p) {
-                const auto &part = partitions[base + p];
-                const ColumnBuffer *flushed =
-                    session.flush(outs[p]->name);
-                GENESIS_ASSERT(
-                    flushed->elements.size() == part.readIndices.size(),
-                    "count rows %zu != reads %zu",
-                    flushed->elements.size(), part.readIndices.size());
-                for (size_t i = 0; i < part.readIndices.size(); ++i) {
-                    result.counts[part.readIndices[i]] =
-                        flushed->elements[i];
-                }
-            }
-        }
-        result.info.timing += session.timing();
+    std::vector<table::ReadPartition> partitions;
+    {
+        ScopedTimer timer(result.info.prepSeconds);
+        partitions = partitioner.partitionReads(reads);
     }
+
+    auto wire = [&](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                    size_t item) {
+        PipelineInputs in = stagePartition(
+            s, b, reads, genome, partitions[item], config_.psize,
+            config_.overlap, kPos | kEndPos | kCigar | kSeq | kRefSeq);
+        return std::vector<ColumnBuffer *>{
+            buildPipeline(b, s, in, config_.useSpm)};
+    };
+    auto collect = [&](size_t item,
+                       const std::vector<const ColumnBuffer *> &outs) {
+        scatterRows(*outs[0], partitions[item].readIndices, result.counts);
+    };
+    runBatches(partitions.size(), config_.numPipelines, config_.runtime,
+               result.info, wire, collect);
     return result;
 }
 

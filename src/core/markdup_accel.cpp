@@ -1,13 +1,13 @@
 #include "core/markdup_accel.h"
 
-#include <chrono>
-#include <utility>
+#include <algorithm>
+#include <numeric>
 
 #include "base/logging.h"
+#include "base/timer.h"
 #include "modules/memory_reader.h"
 #include "modules/memory_writer.h"
 #include "modules/reducer.h"
-#include "runtime/batch.h"
 
 namespace genesis::core {
 
@@ -59,136 +59,54 @@ MarkDupAccelerator::MarkDupAccelerator(const MarkDupAccelConfig &config)
 pipeline::HardwareCensus
 MarkDupAccelerator::census(int num_pipelines)
 {
-    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
-    ColumnBuffer dummy;
-    pipeline::HardwareCensus census;
-    for (int p = 0; p < num_pipelines; ++p) {
-        PipelineBuilder builder(session.sim(), p);
-        buildPipeline(builder, session, &dummy);
-        census.merge(builder.census());
-    }
-    return census;
+    return censusOf(num_pipelines, 1,
+                    [](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                       const PipelineInputs &in) {
+                        buildPipeline(b, s, in.qual);
+                    });
 }
 
 MarkDupAccelResult
 MarkDupAccelerator::run(std::vector<genome::AlignedRead> &reads)
 {
-    if (config_.concurrentSessions > 1)
-        return runSharded(reads);
-
     MarkDupAccelResult result;
-    runtime::AcceleratorSession session(config_.runtime);
 
-    // Host: split the read set across pipelines and build the column
-    // streams (the configure_mem preparation work).
-    size_t n = reads.size();
-    size_t per = (n + static_cast<size_t>(config_.numPipelines) - 1) /
-        static_cast<size_t>(config_.numPipelines);
-    std::vector<ColumnBuffer *> outputs;
-    std::vector<size_t> chunk_starts;
+    // Split the read set into one contiguous chunk per pipeline; the
+    // chunks run as a single batch of replicated pipelines.
+    const size_t n = reads.size();
+    const size_t lanes = static_cast<size_t>(config_.numPipelines);
+    const size_t per = (n + lanes - 1) / lanes;
+    std::vector<std::vector<size_t>> chunks;
     {
-        PrepTimer timer(result.info.prepSeconds);
-        for (int p = 0; p < config_.numPipelines; ++p) {
-            size_t first = std::min(n, static_cast<size_t>(p) * per);
-            size_t last = std::min(n, first + per);
-            if (first >= last)
-                break;
-            chunk_starts.push_back(first);
-            ReadColumns cols = ReadColumns::fromRange(reads, first, last);
-            PipelineBuilder builder(session.sim(), p);
-            ColumnBuffer *qual = session.configureMem(
-                builder.scopedName("READS.QUAL"), std::move(cols.qual),
-                std::move(cols.qualLens), 1);
-            outputs.push_back(buildPipeline(builder, session, qual));
-            result.info.census.merge(builder.census());
+        ScopedTimer timer(result.info.prepSeconds);
+        for (size_t first = 0; first < n; first += per) {
+            chunks.emplace_back(std::min(per, n - first));
+            std::iota(chunks.back().begin(), chunks.back().end(), first);
         }
     }
 
-    session.start();
-    session.wait();
-    result.info.totalCycles = session.sim().cycle();
-    result.info.batches = 1;
-    result.info.stats.merge(session.sim().collectStats());
-
-    // DMA the sums back and reassemble the full vector.
+    auto wire = [&](runtime::AcceleratorSession &s, PipelineBuilder &b,
+                    size_t item) {
+        ReadColumns cols = ReadColumns::fromReads(reads, chunks[item]);
+        ColumnBuffer *qual = s.configureMem(
+            b.scopedName("READS.QUAL"), std::move(cols.qual),
+            std::move(cols.qualLens), 1);
+        return std::vector<ColumnBuffer *>{buildPipeline(b, s, qual)};
+    };
     result.qualSums.assign(n, 0);
-    for (size_t c = 0; c < outputs.size(); ++c) {
-        const ColumnBuffer *flushed = session.flush(outputs[c]->name);
-        for (size_t i = 0; i < flushed->elements.size(); ++i)
-            result.qualSums[chunk_starts[c] + i] = flushed->elements[i];
-    }
+    auto collect = [&](size_t item,
+                       const std::vector<const ColumnBuffer *> &outs) {
+        scatterRows(*outs[0], chunks[item], result.qualSums);
+    };
+    runBatches(chunks.size(), config_.numPipelines, config_.runtime,
+               result.info, wire, collect);
 
-    // Host: duplicate resolution + coordinate sort with hardware sums.
     {
-        runtime::HostTimer timer(session);
+        // Host: duplicate resolution + coordinate sort with hardware sums.
+        ScopedTimer timer(result.info.timing.hostSeconds);
         result.stats =
             gatk::markDuplicatesWithQualSums(reads, result.qualSums);
     }
-    result.info.timing = session.timing();
-    return result;
-}
-
-MarkDupAccelResult
-MarkDupAccelerator::runSharded(std::vector<genome::AlignedRead> &reads)
-{
-    MarkDupAccelResult result;
-
-    // Same chunking as the single-session path, so the per-read sums
-    // (and therefore the duplicate decisions) are bit-for-bit identical:
-    // each former pipeline's read range becomes one shard.
-    size_t n = reads.size();
-    size_t per = (n + static_cast<size_t>(config_.numPipelines) - 1) /
-        static_cast<size_t>(config_.numPipelines);
-    std::vector<std::pair<size_t, size_t>> chunks;
-    for (int p = 0; p < config_.numPipelines; ++p) {
-        size_t first = std::min(n, static_cast<size_t>(p) * per);
-        size_t last = std::min(n, first + per);
-        if (first >= last)
-            break;
-        chunks.emplace_back(first, last);
-    }
-    result.qualSums.assign(n, 0);
-
-    runtime::BatchConfig batch_cfg;
-    batch_cfg.numLanes = config_.concurrentSessions;
-    batch_cfg.runtime = config_.runtime;
-    runtime::BatchRunner runner(batch_cfg);
-
-    auto build = [&](size_t shard, runtime::AcceleratorSession &s) {
-        PrepTimer timer(result.info.prepSeconds);
-        auto [first, last] = chunks[shard];
-        ReadColumns cols = ReadColumns::fromRange(reads, first, last);
-        PipelineBuilder builder(s.sim(), static_cast<int>(shard));
-        ColumnBuffer *qual = s.configureMem(
-            builder.scopedName("READS.QUAL"), std::move(cols.qual),
-            std::move(cols.qualLens), 1);
-        buildPipeline(builder, s, qual);
-        // The census describes resident hardware: only numLanes
-        // single-pipeline sessions exist at any moment.
-        if (shard < static_cast<size_t>(config_.concurrentSessions))
-            result.info.census.merge(builder.census());
-    };
-    auto collect = [&](size_t shard, runtime::AcceleratorSession &s) {
-        auto [first, last] = chunks[shard];
-        const ColumnBuffer *flushed =
-            s.flush("p" + std::to_string(shard) + ".QSUM");
-        for (size_t i = 0; i < flushed->elements.size(); ++i)
-            result.qualSums[first + i] = flushed->elements[i];
-        result.info.stats.merge(s.sim().collectStats());
-    };
-    runtime::BatchStats batch =
-        runner.run(chunks.size(), build, collect);
-    result.info.totalCycles = batch.totalCycles;
-    result.info.batches = batch.shards;
-    result.info.timing = batch.timing;
-
-    // Host: duplicate resolution + coordinate sort with hardware sums.
-    auto host_start = std::chrono::steady_clock::now();
-    result.stats =
-        gatk::markDuplicatesWithQualSums(reads, result.qualSums);
-    result.info.timing.hostSeconds += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - host_start)
-                                          .count();
     return result;
 }
 

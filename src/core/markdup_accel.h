@@ -21,15 +21,6 @@ namespace genesis::core {
 /** Configuration of the Mark Duplicates accelerator. */
 struct MarkDupAccelConfig {
     int numPipelines = 16;
-    /**
-     * When > 1, the read-set chunks run as shards over this many
-     * concurrent single-pipeline sessions (BatchRunner) instead of as
-     * replicated pipelines inside one session: host-side column encode
-     * of shard k+1 overlaps accelerator execution of shard k. Per-read
-     * sums are independent of the chunking, so results are bit-for-bit
-     * identical to the single-session path.
-     */
-    int concurrentSessions = 1;
     runtime::RuntimeConfig runtime;
 };
 
@@ -58,10 +49,6 @@ class MarkDupAccelerator
     static pipeline::HardwareCensus census(int num_pipelines);
 
   private:
-    /** The concurrentSessions > 1 path (BatchRunner sharding). */
-    MarkDupAccelResult
-    runSharded(std::vector<genome::AlignedRead> &reads);
-
     MarkDupAccelConfig config_;
 };
 

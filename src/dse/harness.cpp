@@ -123,6 +123,7 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
         r.totalBases = w.totalBases;
 
         core::AccelRunInfo info;
+        pipeline::HardwareCensus census;
         switch (pt.accel) {
           case Accel::MarkDup: {
             auto reads = w.reads;
@@ -131,6 +132,7 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
             cfg.runtime = rt;
             info = std::move(
                 core::MarkDupAccelerator(cfg).run(reads).info);
+            census = core::MarkDupAccelerator::census(pt.numPipelines);
             break;
           }
           case Accel::Metadata: {
@@ -142,6 +144,8 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
             info = std::move(
                 core::MetadataAccelerator(cfg).run(reads, w.genome)
                     .info);
+            census = core::MetadataAccelerator::census(pt.numPipelines,
+                                                       pt.psize);
             break;
           }
           case Accel::Bqsr: {
@@ -151,6 +155,8 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
             cfg.psize = pt.psize;
             info = std::move(
                 core::BqsrAccelerator(cfg).run(w.reads, w.genome).info);
+            census =
+                core::BqsrAccelerator::census(pt.numPipelines, pt.psize);
             break;
           }
         }
@@ -178,8 +184,9 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
         r.dollarsPerGenome =
             genome_seconds / 3600.0 * r.dollarsPerHour;
 
-        pipeline::ResourceUsage usage =
-            pipeline::estimateResources(info.census);
+        // The census prices the design (every pipeline), not the
+        // pipelines one run happened to fill.
+        pipeline::ResourceUsage usage = pipeline::estimateResources(census);
         r.luts = usage.luts;
         r.registers = usage.registers;
         r.bramMiB = usage.bramMiB;

@@ -1,20 +1,10 @@
 #include "gatk/preprocess.h"
 
-#include <chrono>
 #include <sstream>
 
+#include "base/timer.h"
+
 namespace genesis::gatk {
-
-namespace {
-
-double
-secondsSince(const std::chrono::steady_clock::time_point &start)
-{
-    auto elapsed = std::chrono::steady_clock::now() - start;
-    return std::chrono::duration<double>(elapsed).count();
-}
-
-} // namespace
 
 double
 StageTimes::total() const
@@ -54,33 +44,28 @@ runPreprocess(std::vector<genome::AlignedRead> &reads,
         result.times.alignment = static_cast<double>(reads.size()) /
             options.alignmentAcceleratorReadsPerSec;
     } else if (options.runAligner) {
-        auto start = std::chrono::steady_clock::now();
+        ScopedTimer timer(result.times.alignment);
         ReadAligner aligner(genome);
         result.mappedFraction = aligner.alignAll(reads);
-        result.times.alignment = secondsSince(start);
     }
 
     {
-        auto start = std::chrono::steady_clock::now();
+        ScopedTimer timer(result.times.duplicateMarking);
         result.dupStats = markDuplicates(reads);
-        result.times.duplicateMarking = secondsSince(start);
     }
     {
-        auto start = std::chrono::steady_clock::now();
+        ScopedTimer timer(result.times.metadataUpdate);
         setNmMdUqTags(reads, genome);
-        result.times.metadataUpdate = secondsSince(start);
     }
     {
-        auto start = std::chrono::steady_clock::now();
+        ScopedTimer timer(result.times.bqsrTableConstruction);
         result.covariates = buildCovariateTable(reads, genome,
                                                 options.bqsr);
-        result.times.bqsrTableConstruction = secondsSince(start);
     }
     {
-        auto start = std::chrono::steady_clock::now();
+        ScopedTimer timer(result.times.bqsrQualityUpdate);
         result.qualityValuesChanged =
             applyQualityUpdate(reads, result.covariates);
-        result.times.bqsrQualityUpdate = secondsSince(start);
     }
     return result;
 }

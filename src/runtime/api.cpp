@@ -1,7 +1,6 @@
 #include "runtime/api.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <shared_mutex>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "base/timer.h"
 #include "base/trace.h"
 
 namespace genesis::runtime {
@@ -213,18 +213,6 @@ AcceleratorSession::secondsForCycles(uint64_t cycles) const
     return static_cast<double>(cycles) / config_.clockHz;
 }
 
-HostTimer::HostTimer(AcceleratorSession &session)
-    : session_(session), start_(std::chrono::steady_clock::now())
-{
-}
-
-HostTimer::~HostTimer()
-{
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    session_.addHostSeconds(
-        std::chrono::duration<double>(elapsed).count());
-}
-
 // --- Paper-literal API ----------------------------------------------------
 
 namespace {
@@ -419,10 +407,12 @@ run_genesis(int pipelineID)
             colname, std::move(elements), std::move(row_lengths),
             static_cast<uint32_t>(it->second.elemSize));
     };
+    double build_seconds = 0.0;
     {
-        HostTimer timer(*slot.session);
+        ScopedTimer timer(build_seconds);
         state.builder(*slot.session, input);
     }
+    slot.session->addHostSeconds(build_seconds);
     slot.session->start();
 }
 

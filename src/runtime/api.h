@@ -31,7 +31,6 @@
 #define GENESIS_RUNTIME_API_H
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -218,21 +217,6 @@ class AcceleratorSession
     bool joined_ = false;
     /** Serializes start()/wait() join bookkeeping across host threads. */
     std::mutex joinMutex_;
-};
-
-/** Stopwatch that adds elapsed wall time to a session's host bucket. */
-class HostTimer
-{
-  public:
-    explicit HostTimer(AcceleratorSession &session);
-    ~HostTimer();
-
-    HostTimer(const HostTimer &) = delete;
-    HostTimer &operator=(const HostTimer &) = delete;
-
-  private:
-    AcceleratorSession &session_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 // --- Paper-literal API (Section III-E) ---------------------------------

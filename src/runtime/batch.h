@@ -76,8 +76,8 @@ class BatchRunner
      * input columns (configureMem), wire the pipeline into
      * session.sim(), and allocate output buffers. Runs on the host
      * thread, overlapped with other shards' accelerator execution —
-     * use PrepTimer-style accounting inside if host encode time should
-     * be attributed (the runner itself does not guess).
+     * time it with a ScopedTimer (base/timer.h) inside if host encode
+     * time should be attributed (the runner itself does not guess).
      */
     using ShardBuild =
         std::function<void(size_t shard, AcceleratorSession &session)>;

@@ -5,6 +5,7 @@
 
 #include "base/env.h"
 #include "base/logging.h"
+#include "base/timer.h"
 
 namespace genesis::service {
 
@@ -16,14 +17,6 @@ long long
 envLong(const char *name, long long fallback)
 {
     return envInt64(name, fallback, 1);
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
 }
 
 } // namespace
@@ -253,13 +246,11 @@ AcceleratorService::workerLoop(int board, int slot)
 JobResult
 AcceleratorService::runJob(PendingJob &job, int board, int slot)
 {
-    const auto dispatch = std::chrono::steady_clock::now();
     JobResult result;
+    result.queueSeconds = secondsSince(job.admitted);
+    const auto dispatch = std::chrono::steady_clock::now();
     result.board = board;
     result.slot = slot;
-    result.queueSeconds = std::chrono::duration<double>(
-                              dispatch - job.admitted)
-                              .count();
 
     runtime::DeviceMemory *memory =
         boards_[static_cast<size_t>(board)].memory.get();

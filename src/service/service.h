@@ -31,6 +31,7 @@
 #ifndef GENESIS_SERVICE_SERVICE_H
 #define GENESIS_SERVICE_SERVICE_H
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>

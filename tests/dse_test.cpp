@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "core/metadata_accel.h"
 #include "dse/dse.h"
+#include "pipeline/resource_model.h"
 
 namespace genesis::dse {
 namespace {
@@ -141,6 +143,26 @@ TEST(DseSweep, SlowClockPointIsDominatedAndExcluded)
     EXPECT_EQ(result.frontiers.at("markdup"),
               (std::vector<size_t>{1}));
     EXPECT_TRUE(checkFrontier(result).empty());
+}
+
+TEST(DseSweep, ResourcesPriceEveryPipelineOfTheDesign)
+{
+    // The workload's two chromosomes make three 131 072 bp partitions,
+    // so a run fills only three of the design's 16 pipelines; the
+    // point's resources must still count all 16.
+    SweepSpec spec = smallSpec();
+    spec.accels = {Accel::Metadata};
+    spec.pipelines = {16};
+    spec.psizes = {131'072};
+    spec.memPresets = {"f1-ddr4"};
+    SweepResult result = runSweep(spec);
+    ASSERT_EQ(result.points.size(), 1u);
+    const PointResult &pt = result.points[0];
+    ASSERT_TRUE(pt.ok) << pt.error;
+    pipeline::ResourceUsage design = pipeline::estimateResources(
+        core::MetadataAccelerator::census(16, 131'072));
+    EXPECT_EQ(pt.luts, design.luts);
+    EXPECT_EQ(pt.bramMiB, design.bramMiB);
 }
 
 TEST(DseSweep, InvalidPresetIsACleanPerPointError)
