@@ -60,28 +60,10 @@ main()
 
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     pipeline::PipelineBuilder builder(session.sim(), 0);
-    core::ReadColumns cols =
-        core::ReadColumns::fromReads(reads, part.readIndices);
-    core::RefColumns ref = core::RefColumns::fromGenome(
-        genome, part.chr, part.windowStart, part.windowEnd, 512);
-
-    pipeline::QueryBinding binding;
-    binding.pos = session.configureMem(
-        "READS.POS", std::move(cols.pos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.endpos = session.configureMem(
-        "READS.ENDPOS", std::move(cols.endpos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.cigar = session.configureMem(
-        "READS.CIGAR", std::move(cols.cigar), std::move(cols.cigarLens),
-        2);
-    binding.seq = session.configureMem(
-        "READS.SEQ", std::move(cols.seq), std::move(cols.seqLens), 1);
-    binding.refSeq = session.configureMem(
-        "REFS.SEQ", std::move(ref.seq),
-        core::ReadColumns::scalarLens(ref.seq.size()), 1);
-    binding.windowStart = part.windowStart;
-    binding.spmWords = static_cast<size_t>(kPsize + 512);
+    pipeline::QueryBinding binding = core::stagePartition(
+        session, builder, reads, genome, part, kPsize, 512,
+        core::kPos | core::kEndPos | core::kCigar | core::kSeq |
+            core::kRefSeq);
 
     auto mapped = pipeline::mapPlanToPipeline(builder, session, *fused,
                                               binding);

@@ -73,7 +73,7 @@ RefColumns::fromGenome(const genome::ReferenceGenome &genome, uint8_t chr,
     return cols;
 }
 
-PipelineInputs
+pipeline::QueryBinding
 stagePartition(runtime::AcceleratorSession &session,
                const pipeline::PipelineBuilder &builder,
                const std::vector<genome::AlignedRead> &reads,
@@ -104,7 +104,7 @@ stagePartition(runtime::AcceleratorSession &session,
                                     std::move(elements),
                                     std::move(row_lengths), elem_bytes);
     };
-    PipelineInputs in;
+    pipeline::QueryBinding in;
     in.pos = upload(kPos, "READS.POS", cols.pos, nullptr, 4);
     in.endpos = upload(kEndPos, "READS.ENDPOS", cols.endpos, nullptr, 4);
     in.cigar = upload(kCigar, "READS.CIGAR", cols.cigar, &cols.cigarLens, 2);
@@ -158,11 +158,11 @@ pipeline::HardwareCensus
 censusOf(int num_pipelines, size_t spm_words,
          const std::function<void(runtime::AcceleratorSession &,
                                   pipeline::PipelineBuilder &,
-                                  const PipelineInputs &)> &wire)
+                                  const pipeline::QueryBinding &)> &wire)
 {
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     modules::ColumnBuffer placeholder;
-    PipelineInputs in;
+    pipeline::QueryBinding in;
     in.pos = in.endpos = in.cigar = in.seq = in.qual = in.flags =
         in.refSeq = in.refSnp = &placeholder;
     in.spmWords = spm_words;

@@ -83,22 +83,6 @@ struct AccelRunInfo {
     StatRegistry stats; ///< merged simulator statistics
 };
 
-/** Device buffers of the columns one pipeline reads. */
-struct PipelineInputs {
-    const modules::ColumnBuffer *pos = nullptr;
-    const modules::ColumnBuffer *endpos = nullptr;
-    const modules::ColumnBuffer *cigar = nullptr;
-    const modules::ColumnBuffer *seq = nullptr;
-    const modules::ColumnBuffer *qual = nullptr;
-    const modules::ColumnBuffer *flags = nullptr;
-    const modules::ColumnBuffer *refSeq = nullptr;
-    const modules::ColumnBuffer *refSnp = nullptr;
-    /** First reference position held in the reference SPM. */
-    int64_t windowStart = 0;
-    /** Reference SPM size: the window plus its (stretched) overlap. */
-    size_t spmWords = 1;
-};
-
 /** Column bits selecting what stagePartition() uploads. */
 enum StagedColumn : unsigned {
     kPos = 1u << 0,
@@ -120,13 +104,13 @@ enum StagedColumn : unsigned {
  * reference window spans [windowStart, windowEnd + overlap), with the
  * overlap stretched to cover the partition's longest read.
  */
-PipelineInputs stagePartition(runtime::AcceleratorSession &session,
-                              const pipeline::PipelineBuilder &builder,
-                              const std::vector<genome::AlignedRead> &reads,
-                              const genome::ReferenceGenome &genome,
-                              const table::ReadPartition &part,
-                              int64_t psize, int64_t overlap,
-                              unsigned columns);
+pipeline::QueryBinding
+stagePartition(runtime::AcceleratorSession &session,
+               const pipeline::PipelineBuilder &builder,
+               const std::vector<genome::AlignedRead> &reads,
+               const genome::ReferenceGenome &genome,
+               const table::ReadPartition &part, int64_t psize,
+               int64_t overlap, unsigned columns);
 
 /**
  * Wires work item `item` as one pipeline lane (uploading its inputs
@@ -161,7 +145,7 @@ pipeline::HardwareCensus
 censusOf(int num_pipelines, size_t spm_words,
          const std::function<void(runtime::AcceleratorSession &,
                                   pipeline::PipelineBuilder &,
-                                  const PipelineInputs &)> &wire);
+                                  const pipeline::QueryBinding &)> &wire);
 
 /**
  * dst[rows[i]] = flushed.elements[i] for every row; panics unless the

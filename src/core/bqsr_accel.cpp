@@ -17,6 +17,7 @@ namespace genesis::core {
 
 using modules::ColumnBuffer;
 using pipeline::PipelineBuilder;
+using pipeline::QueryBinding;
 using sim::Flit;
 
 namespace {
@@ -27,7 +28,7 @@ namespace {
  */
 std::vector<ColumnBuffer *>
 buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
-              const PipelineInputs &in, const gatk::BqsrConfig &bqsr)
+              const QueryBinding &in, const gatk::BqsrConfig &bqsr)
 {
     modules::BinIdGenConfig bin_cfg;
     bin_cfg.numCycleValues = bqsr.numCycleValues;
@@ -219,7 +220,7 @@ BqsrAccelerator::census(int num_pipelines, int64_t psize, int64_t overlap)
 {
     return censusOf(num_pipelines, static_cast<size_t>(psize + overlap),
                     [](runtime::AcceleratorSession &s, PipelineBuilder &b,
-                       const PipelineInputs &in) {
+                       const QueryBinding &in) {
                         buildPipeline(b, s, in, gatk::BqsrConfig{});
                     });
 }
@@ -242,7 +243,7 @@ BqsrAccelerator::run(const std::vector<genome::AlignedRead> &reads,
 
     auto wire = [&](runtime::AcceleratorSession &s, PipelineBuilder &b,
                     size_t item) {
-        PipelineInputs in = stagePartition(
+        QueryBinding in = stagePartition(
             s, b, reads, genome, partitions[item], config_.psize,
             config_.overlap,
             kPos | kEndPos | kCigar | kSeq | kQual | kFlags | kRefSeq |

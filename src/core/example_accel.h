@@ -3,10 +3,11 @@
  * The paper's walk-through example (Figures 4, 5 and 7): count, for each
  * read of a partition, the number of bases matching the reference.
  *
- * Three implementations coexist so they can be cross-checked:
+ * One query, three ways to answer it, cross-checked against each other:
  *  - the extended-SQL script of Figure 4 run on the software engine;
  *  - a direct software computation;
- *  - the Figure-7 hardware pipeline on the simulator.
+ *  - the Figure-7 hardware pipeline on the simulator, compiled from the
+ *    same script by the plan-to-pipeline mapper (pipeline/mapper.h).
  */
 
 #ifndef GENESIS_CORE_EXAMPLE_ACCEL_H
@@ -46,9 +47,9 @@ struct ExampleAccelConfig {
     int64_t overlap = 151;
     /**
      * Stage the reference in an on-chip SPM (the paper's design). When
-     * false, a GatherReader re-fetches each read's reference span from
-     * device memory — the no-data-reuse counterfactual measured by the
-     * ablate_spm bench.
+     * false, the mapper lowers the reference read to a GatherReader that
+     * re-fetches each read's reference span from device memory — the
+     * no-data-reuse counterfactual measured by the ablate_spm bench.
      */
     bool useSpm = true;
 };
@@ -60,7 +61,10 @@ struct ExampleAccelResult {
     std::vector<int64_t> counts;
 };
 
-/** The Figure-7 hardware pipeline, replicated per Figure 8. */
+/**
+ * The Figure-7 hardware pipeline, replicated per Figure 8: every lane is
+ * the Figure-4 script, fused once per run() and lowered by the mapper.
+ */
 class ExampleAccelerator
 {
   public:
@@ -70,11 +74,6 @@ class ExampleAccelerator
     ExampleAccelResult
     run(const std::vector<genome::AlignedRead> &reads,
         const genome::ReferenceGenome &genome);
-
-    /** @return the hardware census without running. */
-    static pipeline::HardwareCensus census(int num_pipelines,
-                                           int64_t psize = 1'000'000,
-                                           int64_t overlap = 151);
 
   private:
     ExampleAccelConfig config_;

@@ -13,6 +13,7 @@ namespace genesis::core {
 
 using modules::ColumnBuffer;
 using pipeline::PipelineBuilder;
+using pipeline::QueryBinding;
 
 namespace {
 
@@ -61,7 +62,7 @@ MarkDupAccelerator::census(int num_pipelines)
 {
     return censusOf(num_pipelines, 1,
                     [](runtime::AcceleratorSession &s, PipelineBuilder &b,
-                       const PipelineInputs &in) {
+                       const QueryBinding &in) {
                         buildPipeline(b, s, in.qual);
                     });
 }

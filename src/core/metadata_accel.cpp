@@ -17,6 +17,7 @@ namespace genesis::core {
 
 using modules::ColumnBuffer;
 using pipeline::PipelineBuilder;
+using pipeline::QueryBinding;
 using sim::Flit;
 
 namespace {
@@ -28,7 +29,7 @@ namespace {
  */
 std::vector<ColumnBuffer *>
 buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
-              const PipelineInputs &in)
+              const QueryBinding &in)
 {
     ColumnBuffer *nm_out = s.configureOutput(b.scopedName("NM"), 4);
     ColumnBuffer *md_out = s.configureOutput(b.scopedName("MD"), 1);
@@ -183,7 +184,7 @@ MetadataAccelerator::census(int num_pipelines, int64_t psize,
 {
     return censusOf(num_pipelines, static_cast<size_t>(psize + overlap),
                     [](runtime::AcceleratorSession &s, PipelineBuilder &b,
-                       const PipelineInputs &in) {
+                       const QueryBinding &in) {
                         buildPipeline(b, s, in);
                     });
 }
@@ -204,7 +205,7 @@ MetadataAccelerator::run(std::vector<genome::AlignedRead> &reads,
 
     auto wire = [&](runtime::AcceleratorSession &s, PipelineBuilder &b,
                     size_t item) {
-        PipelineInputs in = stagePartition(
+        QueryBinding in = stagePartition(
             s, b, reads, genome, partitions[item], config_.psize,
             config_.overlap, kPos | kEndPos | kCigar | kSeq | kQual | kRefSeq);
         return buildPipeline(b, s, in);

@@ -5,7 +5,8 @@
  * Wraps a Simulator with pipeline-local naming, routes every memory
  * module's port through this pipeline's local arbiter group (Figure 8),
  * and keeps a census of instantiated module kinds and SPM bits that the
- * FPGA resource model consumes.
+ * FPGA resource model consumes. A QueryBinding names the device buffers
+ * a pipeline reads.
  */
 
 #ifndef GENESIS_PIPELINE_BUILDER_H
@@ -16,7 +17,35 @@
 
 #include "sim/scheduler.h"
 
+namespace genesis::modules {
+struct ColumnBuffer;
+} // namespace genesis::modules
+
 namespace genesis::pipeline {
+
+/**
+ * The device buffers of the columns one pipeline reads (Table I layout)
+ * and where its reference window sits. core::stagePartition() fills one
+ * per lane; the mapper lowers a query onto it.
+ */
+struct QueryBinding {
+    const modules::ColumnBuffer *pos = nullptr;
+    const modules::ColumnBuffer *endpos = nullptr;
+    const modules::ColumnBuffer *cigar = nullptr;
+    const modules::ColumnBuffer *seq = nullptr;
+    const modules::ColumnBuffer *qual = nullptr;
+    const modules::ColumnBuffer *flags = nullptr;
+    const modules::ColumnBuffer *refSeq = nullptr;
+    const modules::ColumnBuffer *refSnp = nullptr;
+    /** First reference position of the window REFS.SEQ holds. */
+    int64_t windowStart = 0;
+    /**
+     * Reference SPM size: the window plus its (stretched) overlap. The
+     * mapper reads the reference from an SPM of this many words, or,
+     * when it is 0, straight from device memory (a GatherReader).
+     */
+    size_t spmWords = 1;
+};
 
 /** Census of one accelerator's instantiated hardware. */
 struct HardwareCensus {

@@ -17,7 +17,16 @@
  * streaming: the per-read loop body is fused into a single plan (temp
  * tables inlined), per-read aggregation becomes per-item reduction, and
  * the LIMIT-windowed reference subquery becomes the interval SPM read
- * driven by POS/ENDPOS.
+ * driven by POS/ENDPOS (a GatherReader from device memory when the
+ * binding has no SPM words).
+ *
+ * This is the only Figure-7 design: core::ExampleAccelerator wires each
+ * lane by lowering the Figure-4 script here. Memory-port order is part
+ * of the modeled hardware (it sets arbitration), and module, queue and
+ * scratchpad names key the statistics, so both are fixed: readers claim
+ * ports in the order POS, ENDPOS, CIGAR, SEQ, QUAL, reference, writer,
+ * and a repeated lowering (a second WHERE Filter) is numbered
+ * (`filter`, `filter_2`).
  */
 
 #ifndef GENESIS_PIPELINE_MAPPER_H
@@ -29,35 +38,9 @@
 #include "pipeline/builder.h"
 #include "runtime/api.h"
 #include "sql/ast.h"
-#include "sql/cost_model.h"
 #include "sql/plan.h"
 
 namespace genesis::pipeline {
-
-/** Device buffers and SPM hints the mapped pipeline binds to. */
-struct QueryBinding {
-    const modules::ColumnBuffer *pos = nullptr;
-    const modules::ColumnBuffer *endpos = nullptr;
-    const modules::ColumnBuffer *cigar = nullptr;
-    const modules::ColumnBuffer *seq = nullptr;
-    /** Optional; required only when the query reads QUAL. */
-    const modules::ColumnBuffer *qual = nullptr;
-    /** The reference column that the user hinted into an SPM. */
-    const modules::ColumnBuffer *refSeq = nullptr;
-    /** Names that identify the reference table in the plan. */
-    std::vector<std::string> refTableNames = {"RelevantReference", "REF",
-                                              "ReferenceRow"};
-    int64_t windowStart = 0;
-    size_t spmWords = 1;
-    /**
-     * Optional table statistics; when set, conjunctive WHERE predicates
-     * are split and ordered by estimated selectivity before lowering,
-     * so the most selective hardware Filter sits earliest in the
-     * stream (ahead of the SPM/join stage). Without stats the cost
-     * model's default selectivities drive the same ordering.
-     */
-    sql::StatsProvider stats;
-};
 
 /** Result of mapping: the pipeline's output buffer. */
 struct MappedQuery {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <shared_mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -106,9 +107,9 @@ AcceleratorSession::AcceleratorSession(const RuntimeConfig &config,
 
 AcceleratorSession::~AcceleratorSession()
 {
-    // Route through wait() so the accelerator time is credited (exactly
-    // once) even when a session is torn down without an explicit wait.
-    wait();
+    // Join so the accelerator time is credited (exactly once) even when
+    // a session is torn down without an explicit wait.
+    join();
 }
 
 modules::ColumnBuffer *
@@ -166,7 +167,16 @@ AcceleratorSession::start()
     std::lock_guard<std::mutex> lock(joinMutex_);
     GENESIS_ASSERT(!started_.load(std::memory_order_relaxed),
                    "session already started");
-    worker_ = std::thread([this] { sim_->run(); });
+    // An exception escaping a thread calls std::terminate: keep it for
+    // the host thread that joins.
+    worker_ = std::thread([this] {
+        try {
+            sim_->run();
+        } catch (...) {
+            workerError_ = std::current_exception();
+        }
+        workerDone_.store(true, std::memory_order_release);
+    });
     started_.store(true, std::memory_order_release);
 }
 
@@ -175,13 +185,13 @@ AcceleratorSession::check()
 {
     GENESIS_ASSERT(started_.load(std::memory_order_acquire),
                    "check before start");
-    // Poll only the completion flag the simulator publishes atomically;
-    // walking the module list here would race with the worker thread.
-    return sim_->finished();
+    // Poll only the flag the worker publishes atomically; walking the
+    // module list here would race with the worker thread.
+    return workerDone_.load(std::memory_order_acquire);
 }
 
 void
-AcceleratorSession::wait()
+AcceleratorSession::join()
 {
     std::lock_guard<std::mutex> lock(joinMutex_);
     if (!started_.load(std::memory_order_acquire) || joined_)
@@ -191,6 +201,15 @@ AcceleratorSession::wait()
     // Credit the simulated accelerator time exactly once, whichever join
     // path got here first (wait_genesis, flush, destructor, unload).
     timing_.accelSeconds += secondsForCycles(sim_->cycle());
+}
+
+void
+AcceleratorSession::wait()
+{
+    join();
+    std::lock_guard<std::mutex> lock(joinMutex_);
+    if (workerError_)
+        std::rethrow_exception(std::exchange(workerError_, nullptr));
 }
 
 const modules::ColumnBuffer *

@@ -19,6 +19,7 @@ Simulator::Simulator(const MemoryConfig &mem_config) : memory_(mem_config)
 HardwareQueue *
 Simulator::makeQueue(const std::string &name, size_t capacity)
 {
+    claimName("queue", name);
     queues_.push_back(std::make_unique<HardwareQueue>(name, capacity));
     queues_.back()->attachSimulator(&progress_, &dirtyQueues_);
     if (trace_)
@@ -30,11 +31,19 @@ Scratchpad *
 Simulator::makeScratchpad(const std::string &name, size_t size_words,
                           uint32_t word_bytes)
 {
+    claimName("scratchpad", name);
     scratchpads_.push_back(
         std::make_unique<Scratchpad>(name, size_words, word_bytes));
     if (trace_)
         scratchpads_.back()->attachTrace(trace_, &cycle_, tracePid_);
     return scratchpads_.back().get();
+}
+
+void
+Simulator::claimName(const char *kind, const std::string &name)
+{
+    if (!names_.emplace(kind, name).second)
+        panic("%s name '%s' is already in use", kind, name.c_str());
 }
 
 void
@@ -156,7 +165,6 @@ Simulator::creditSkippedCycles(uint64_t times)
 uint64_t
 Simulator::run(uint64_t max_cycles)
 {
-    finished_.store(false, std::memory_order_relaxed);
     // Deadlock horizon: generously above the worst legitimate quiet
     // period (memory latency plus arbitration backlog).
     const uint64_t deadlock_horizon =
@@ -245,11 +253,6 @@ Simulator::run(uint64_t max_cycles)
                   dumpState().c_str());
         }
     }
-    // Publish completion for cross-thread pollers: the cycle count
-    // first, then the flag that licenses reading it (release pairs with
-    // the acquire in finished()/finishedCycle()).
-    finishedCycle_.store(cycle_, std::memory_order_release);
-    finished_.store(true, std::memory_order_release);
     return cycle_;
 }
 

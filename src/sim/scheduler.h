@@ -11,9 +11,10 @@
 #ifndef GENESIS_SIM_SCHEDULER_H
 #define GENESIS_SIM_SCHEDULER_H
 
-#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/memory.h"
@@ -68,21 +69,24 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Create a queue owned by the simulator. */
+    /** Create a queue owned by the simulator (panics on a used name). */
     HardwareQueue *makeQueue(const std::string &name,
                              size_t capacity = HardwareQueue::
                                  kDefaultCapacity);
 
-    /** Create a scratchpad owned by the simulator. */
+    /** Create a scratchpad owned by the simulator (panics on a used
+     *  name). */
     Scratchpad *makeScratchpad(const std::string &name, size_t size_words,
                                uint32_t word_bytes = 8);
 
-    /** Take ownership of a module; returns a borrowed pointer. */
+    /** Take ownership of a module; returns a borrowed pointer. Panics
+     *  when the module's name is in use. */
     template <typename T>
     T *
     addModule(std::unique_ptr<T> module)
     {
         T *raw = module.get();
+        claimName("module", raw->name());
         raw->attachProgress(&progress_);
         raw->attachScheduler(&cycle_, &woken_, sleepEnabled_);
         raw->setSchedIndex(modules_.size());
@@ -116,28 +120,6 @@ class Simulator
 
     /** @return true when every module reports done. */
     bool allDone() const;
-
-    /**
-     * True once run() has returned, published with release/acquire
-     * ordering so a host thread may poll it while a worker thread
-     * advances the simulation (the check_genesis path). Every other
-     * accessor of this class is single-writer: only the thread running
-     * run()/step() may touch the simulator until it is joined.
-     */
-    bool finished() const
-    {
-        return finished_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Cycle count published together with finished(): the total cycles
-     * simulated when run() last returned. Safe to read cross-thread
-     * once finished() is true.
-     */
-    uint64_t finishedCycle() const
-    {
-        return finishedCycle_.load(std::memory_order_acquire);
-    }
 
     /**
      * Run until all modules are done.
@@ -179,6 +161,13 @@ class Simulator
     TraceSink *trace() { return trace_; }
 
   private:
+    /**
+     * Record `name` for a `kind` (module, queue or scratchpad), or panic
+     * when that kind already has it: names key the statistics
+     * (collectStats), so a reused one would merge two components.
+     */
+    void claimName(const char *kind, const std::string &name);
+
     /** Latch a freshly-done module (advances the allDone() count). */
     void
     maybeLatchDone(Module *m)
@@ -203,16 +192,14 @@ class Simulator
     std::string dumpState() const;
 
     MemorySystem memory_;
+    /** (kind, name) of every module, queue and scratchpad. */
+    std::set<std::pair<std::string, std::string>> names_;
     std::vector<std::unique_ptr<HardwareQueue>> queues_;
     std::vector<std::unique_ptr<Scratchpad>> scratchpads_;
     std::vector<std::unique_ptr<Module>> modules_;
     uint64_t cycle_ = 0;
     /** See progress(). */
     uint64_t progress_ = 0;
-    /** Completion flag published by run() (see finished()). */
-    std::atomic<bool> finished_{false};
-    /** Cycle count published by run() (see finishedCycle()). */
-    std::atomic<uint64_t> finishedCycle_{0};
     /** Queues with operations staged this cycle (commit work list). */
     std::vector<HardwareQueue *> dirtyQueues_;
     /** Modules ticked each cycle: neither asleep nor done, in tick

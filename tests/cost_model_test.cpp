@@ -215,7 +215,8 @@ TEST(CostModel, StatsSurviveCreateTableAs)
  * hardware Filters with the cheaper (more selective) QUAL comparison
  * first in the stream: the cost model rates `QUAL >= 10` at the default
  * range selectivity (1/3) and `CYCLE != 0` near 0.9, so the QUAL filter
- * discards flits before the CYCLE filter sees them.
+ * discards flits before the CYCLE filter sees them. The two Filters and
+ * their output queues get distinct names, so each keeps its own stats.
  */
 TEST(CostModel, MapperOrdersPredicatesBySelectivity)
 {
@@ -264,6 +265,27 @@ END LOOP;
     EXPECT_LT(qual_at, cycle_at)
         << "more selective predicate must filter first:\n"
         << mapped.trace;
+
+    session.start();
+    session.wait();
+    // Each filtered stream carries its passing bases plus one boundary
+    // flit per read.
+    uint64_t qual_pass = 0;
+    uint64_t both_pass = 0;
+    for (const auto &read : w.reads.reads) {
+        for (const auto &base : genome::explodeRead(read.pos, read.cigar,
+                                                    read.seq, read.qual)) {
+            if (base.qual >= 10) {
+                ++qual_pass;
+                both_pass += base.readOffset != 0;
+            }
+        }
+    }
+    const uint64_t reads = w.reads.reads.size();
+    const StatRegistry stats = session.sim().collectStats();
+    EXPECT_EQ(stats.get("queue.p0.filtered.flits"), qual_pass + reads);
+    EXPECT_EQ(stats.get("queue.p0.filtered_2.flits"), both_pass + reads);
+    EXPECT_GT(qual_pass, both_pass);
 }
 
 } // namespace

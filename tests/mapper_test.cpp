@@ -10,6 +10,7 @@
 #include "base/logging.h"
 #include "core/accel_common.h"
 #include "core/example_accel.h"
+#include "genome/cigar.h"
 #include "pipeline/mapper.h"
 #include "sim_test_utils.h"
 #include "sql/parser.h"
@@ -56,6 +57,7 @@ TEST_P(MappedPipeline, ReproducesSqlEngineAnswer)
 {
     auto w = test::makeSmallWorkload(GetParam(), 120, 20'000, 1);
     constexpr int64_t kPsize = 20'000;
+    constexpr int64_t kOverlap = 512;
     table::Partitioner partitioner(kPsize);
     auto partitions = partitioner.partitionReads(w.reads.reads);
     ASSERT_EQ(partitions.size(), 1u);
@@ -63,7 +65,7 @@ TEST_P(MappedPipeline, ReproducesSqlEngineAnswer)
 
     // Software answer via the SQL engine.
     auto expected = core::matchCountsSqlEngine(
-        w.reads.reads, part, w.genome, kPsize, 512);
+        w.reads.reads, part, w.genome, kPsize, kOverlap);
 
     // Hardware answer via the automatically mapped pipeline.
     sql::Script script = sql::parseScript(core::matchCountQueryText());
@@ -71,30 +73,10 @@ TEST_P(MappedPipeline, ReproducesSqlEngineAnswer)
 
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     PipelineBuilder builder(session.sim(), 0);
-
-    core::ReadColumns cols =
-        core::ReadColumns::fromReads(w.reads.reads, part.readIndices);
-    int64_t overlap = 512;
-    core::RefColumns ref = core::RefColumns::fromGenome(
-        w.genome, part.chr, part.windowStart, part.windowEnd, overlap);
-
-    QueryBinding binding;
-    binding.pos = session.configureMem(
-        "READS.POS", std::move(cols.pos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.endpos = session.configureMem(
-        "READS.ENDPOS", std::move(cols.endpos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.cigar = session.configureMem(
-        "READS.CIGAR", std::move(cols.cigar), std::move(cols.cigarLens),
-        2);
-    binding.seq = session.configureMem(
-        "READS.SEQ", std::move(cols.seq), std::move(cols.seqLens), 1);
-    binding.refSeq = session.configureMem(
-        "REFS.SEQ", std::move(ref.seq),
-        core::ReadColumns::scalarLens(ref.seq.size()), 1);
-    binding.windowStart = part.windowStart;
-    binding.spmWords = static_cast<size_t>(kPsize + overlap);
+    QueryBinding binding = core::stagePartition(
+        session, builder, w.reads.reads, w.genome, part, kPsize, kOverlap,
+        core::kPos | core::kEndPos | core::kCigar | core::kSeq |
+            core::kRefSeq);
 
     MappedQuery mapped =
         mapPlanToPipeline(builder, session, *plan, binding);
@@ -126,6 +108,58 @@ TEST(Mapper, RejectsUnsupportedShapes)
     auto plan = fuseScriptToPlan(scan_script);
     EXPECT_THROW(mapPlanToPipeline(builder, session, *plan, binding),
                  FatalError);
+}
+
+/**
+ * Whether POS forks to a reference reader follows from the plan, not
+ * from which columns are staged: a join-free per-read COUNT(*) with
+ * ENDPOS staged gets no fork (a forked POS with no reader wedges the
+ * pipeline) and counts every exploded base of every read.
+ */
+TEST(Mapper, JoinFreeCountIgnoresStagedEndpos)
+{
+    auto w = test::makeSmallWorkload(3, 120, 20'000, 1);
+    constexpr int64_t kPsize = 20'000;
+    auto partitions = table::Partitioner(kPsize).partitionReads(
+        w.reads.reads);
+    ASSERT_EQ(partitions.size(), 1u);
+    const auto &part = partitions[0];
+
+    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
+    PipelineBuilder builder(session.sim(), 0);
+    QueryBinding binding = core::stagePartition(
+        session, builder, w.reads.reads, w.genome, part, kPsize, 512,
+        core::kPos | core::kEndPos | core::kCigar | core::kSeq |
+            core::kRefSeq);
+    ASSERT_NE(binding.endpos, nullptr);
+
+    sql::PlanPtr plan = fuseScriptToPlan(sql::parseScript(R"(
+CREATE TABLE ReadPartition AS
+SELECT POS, ENDPOS, CIGAR, SEQ
+FROM READS PARTITION (@P);
+FOR SingleRead IN ReadPartition:
+  CREATE TABLE #AlignedRead AS
+  ReadExplode (SingleRead.POS, SingleRead.CIGAR, SingleRead.SEQ)
+  FROM SingleRead;
+  INSERT INTO Output
+  SELECT COUNT(*) FROM #AlignedRead;
+END LOOP;
+)"));
+    MappedQuery mapped =
+        mapPlanToPipeline(builder, session, *plan, binding);
+    EXPECT_EQ(mapped.trace.find("Joiner"), std::string::npos);
+
+    session.start();
+    session.wait();
+    const auto *out = session.flush(mapped.output->name);
+    ASSERT_EQ(out->elements.size(), part.readIndices.size());
+    for (size_t i = 0; i < part.readIndices.size(); ++i) {
+        const auto &read = w.reads.reads[part.readIndices[i]];
+        const auto bases = genome::explodeRead(read.pos, read.cigar,
+                                               read.seq, read.qual);
+        EXPECT_EQ(out->elements[i], static_cast<int64_t>(bases.size()))
+            << "read " << i;
+    }
 }
 
 } // namespace

@@ -359,6 +359,31 @@ TEST(Session, AccelTimeCreditedExactlyOnceAcrossJoinPaths)
     EXPECT_DOUBLE_EQ(session.timing().accelSeconds, credited);
 }
 
+TEST(Session, WaitRethrowsTheWorkersDeadlock)
+{
+    setQuiet(true);
+    // A Reducer whose input nobody writes or closes never finishes: the
+    // simulation deadlock-panics on the worker thread.
+    AcceleratorSession session{RuntimeConfig{}};
+    session.sim().make<modules::Reducer>(
+        "red", session.sim().makeQueue("in"),
+        session.sim().makeQueue("out"), modules::ReducerConfig{});
+    session.start();
+    while (!session.check())
+        std::this_thread::yield();
+    try {
+        session.wait();
+        ADD_FAILURE() << "wait() returned normally";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadlock"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Rethrown once; the destructor then joins without throwing.
+    EXPECT_NO_THROW(session.wait());
+    setQuiet(false);
+}
+
 TEST(Session, SharedDeviceMemorySurvivesSession)
 {
     DeviceMemory board;

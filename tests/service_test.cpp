@@ -111,6 +111,31 @@ TEST(Service, FailedJobReportsErrorAndServiceSurvives)
     EXPECT_EQ(usage[0].completed, 1u);
 }
 
+TEST(Service, DeadlockedJobFailsAndServiceSurvives)
+{
+    setQuiet(true);
+    AcceleratorService service(singleSlotConfig());
+    JobRequest wedged;
+    wedged.build = [](JobContext &ctx) {
+        // A Reducer whose input nobody writes or closes deadlocks.
+        auto &sim = ctx.sim();
+        sim.make<modules::Reducer>("red", sim.makeQueue("in"),
+                                   sim.makeQueue("out"),
+                                   modules::ReducerConfig{});
+    };
+    JobResult failed = service.submit(std::move(wedged)).result.get();
+    EXPECT_FALSE(failed.ok);
+    EXPECT_NE(failed.error.find("deadlock"), std::string::npos)
+        << failed.error;
+
+    JobRequest good;
+    good.build = sumJob("", {4, 5});
+    JobResult ok = service.submit(std::move(good)).result.get();
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(ok.outputs[0].elements[0], 9);
+    setQuiet(false);
+}
+
 TEST(Service, StoppedServiceRejectsSubmissions)
 {
     AcceleratorService service(singleSlotConfig());

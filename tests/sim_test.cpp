@@ -407,6 +407,31 @@ TEST(Simulator, DeadlockDetected)
     setQuiet(false);
 }
 
+TEST(Simulator, ReusedNamesPanic)
+{
+    setQuiet(true);
+    // Names key the statistics, so a second module, queue or scratchpad
+    // under a name its kind already uses would merge into the first's
+    // counters.
+    Simulator sim;
+    auto *q = sim.makeQueue("q");
+    sim.make<test::VectorSink>("sink", q);
+    sim.makeScratchpad("spm", 4);
+    try {
+        sim.makeQueue("q");
+        ADD_FAILURE() << "a reused queue name was accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("queue name 'q'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(sim.make<test::VectorSink>("sink", q), PanicError);
+    EXPECT_THROW(sim.makeScratchpad("spm", 4), PanicError);
+    // Each kind has its own names: a module may share its queue's.
+    EXPECT_NO_THROW(sim.make<test::VectorSink>("q", sim.makeQueue("q2")));
+    setQuiet(false);
+}
+
 // Pops a flit, round-trips it through a memory read, then forwards it.
 // With a long memory latency this leaves the design provably idle for
 // most cycles — the idle-cycle fast-forward's target pattern.
