@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/env.h"
@@ -41,6 +42,24 @@ inline int64_t
 envPairs(int64_t default_pairs = 20'000)
 {
     return envInt64("GENESIS_BENCH_PAIRS", default_pairs, 1);
+}
+
+/**
+ * Parse command-line flag `flag`'s value `text` with parseNumber()
+ * (base/env.h). A malformed value exits 2 naming the flag, so a typo
+ * cannot turn a gate off.
+ */
+template <typename T>
+T
+flagNumber(const char *flag, const char *text)
+{
+    T value{};
+    if (!parseNumber(text, value)) {
+        std::fprintf(stderr, "%s: '%s' is not %s\n", flag, text,
+                     std::is_integral_v<T> ? "an integer" : "a number");
+        std::exit(2);
+    }
+    return value;
 }
 
 inline BenchWorkload

@@ -26,6 +26,7 @@
 
 #include "base/env.h"
 #include "base/logging.h"
+#include "bench_common.h"
 #include "dse/dse.h"
 
 using namespace genesis;
@@ -64,11 +65,12 @@ main(int argc, char **argv)
     dse::SweepSpec spec = dse::SweepSpec::defaultGrid();
     spec.numPairs = envInt64("GENESIS_DSE_PAIRS", spec.numPairs, 1);
     if (const char *pairs = argValue(argc, argv, "--pairs"))
-        spec.numPairs = std::atoll(pairs);
+        spec.numPairs = bench::flagNumber<long long>("--pairs", pairs);
 
     dse::HarnessOptions options;
     if (const char *workers = argValue(argc, argv, "--workers"))
-        options.workers = std::atoi(workers);
+        options.workers = static_cast<int>(
+            bench::flagNumber<long long>("--workers", workers));
 
     std::fprintf(stderr, "sim_dse: sweeping %zu points (%lld pairs)\n",
                  spec.numPoints(),

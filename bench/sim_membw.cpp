@@ -51,6 +51,7 @@
 
 #include "base/env.h"
 #include "base/logging.h"
+#include "bench_common.h"
 #include "sim/memory.h"
 
 using namespace genesis;
@@ -290,7 +291,8 @@ main(int argc, char **argv)
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--require-speedup") == 0 &&
                    i + 1 < argc) {
-            require_speedup = std::atof(argv[++i]);
+            require_speedup = bench::flagNumber<double>(
+                "--require-speedup", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--out results.json] "

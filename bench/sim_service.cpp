@@ -296,8 +296,9 @@ main(int argc, char **argv)
     const runtime::DmaConfig dma = runtime::DmaConfig::fromName(
         dma_arg ? dma_arg : "pcie3");
     const char *goodput_arg = argValue(argc, argv, "--require-goodput");
-    const double require_goodput =
-        goodput_arg ? std::atof(goodput_arg) : 0.0;
+    const double require_goodput = goodput_arg
+        ? bench::flagNumber<double>("--require-goodput", goodput_arg)
+        : 0.0;
 
     auto workload = bench::makeBenchWorkload();
     bench::printHeader("multi-tenant accelerator service (open loop)",

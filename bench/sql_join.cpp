@@ -180,7 +180,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--require-speedup") == 0 &&
             i + 1 < argc) {
-            require_speedup = std::atof(argv[++i]);
+            require_speedup = bench::flagNumber<double>(
+                "--require-speedup", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--require-speedup X]\n", argv[0]);

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Perf-regression guard for the simulator benches.
 
-Runs bench/sim_throughput, bench/sim_multipipe, bench/sim_membw,
-bench/sim_service, bench/sim_dse and bench/sql_join, collects
-wall-clock metrics, and compares them against a committed
-baseline (bench/perf_baseline.json). Any metric that regresses by more
-than the tolerance (default 15%) fails the run, so host-side slowdowns
-in the simulator core are caught in CI rather than discovered months
-later in a profile.
+Runs bench/sim_throughput, bench/sim_membw, bench/sim_service,
+bench/sim_dse and bench/sql_join, collects wall-clock metrics, and
+compares them against a committed baseline (bench/perf_baseline.json).
+Any metric that regresses by more than the tolerance (default 15%)
+fails the run, so host-side slowdowns in the simulator core are caught
+in CI rather than discovered months later in a profile.
 
 Usage:
   # Compare against the committed baseline (CI mode; exits non-zero on
@@ -62,7 +61,7 @@ def run_timed(cmd, extra_env):
 
 
 def collect_once(bench_dir):
-    """Run the three benches once and return {metric_name: seconds}."""
+    """Run the five benches once and return {metric_name: seconds}."""
     metrics = {}
 
     wall, out = run_timed([os.path.join(bench_dir, "sim_throughput")],
@@ -76,16 +75,6 @@ def collect_once(bench_dir):
         if "scenario" in rec and "host_seconds" in rec:
             metrics[f"sim_throughput.{rec['scenario']}.host_seconds"] = \
                 rec["host_seconds"]
-
-    wall, out = run_timed([os.path.join(bench_dir, "sim_multipipe")],
-                          BENCH_ENV)
-    metrics["sim_multipipe.wall_seconds"] = wall
-    array = re.search(r"\[.*\]", out, re.S)
-    if array:
-        for rec in json.loads(array.group(0)):
-            if "lanes" in rec:
-                key = f"sim_multipipe.lanes{rec['lanes']}.wall_seconds"
-                metrics[key] = rec["wall_seconds"]
 
     # Memory bandwidth sweep: the whole-bench wall clock plus the
     # per-pattern event-jump records the bench emits. The bench fatals

@@ -2,12 +2,57 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 #include "base/logging.h"
 
 namespace genesis {
+
+namespace {
+
+/** parseNumber()'s rules around one strto* conversion. */
+template <typename T, typename Convert>
+bool
+parseWhole(const char *text, T &value, Convert convert)
+{
+    // strto* skip leading whitespace; strictness requires the string to
+    // start with the number itself.
+    if (!text || !*text ||
+        std::isspace(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    T parsed = convert(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        return false;
+    value = parsed;
+    return true;
+}
+
+} // namespace
+
+bool
+parseNumber(const char *text, long long &value)
+{
+    return parseWhole(text, value, [](const char *s, char **end) {
+        return std::strtoll(s, end, 10);
+    });
+}
+
+bool
+parseNumber(const char *text, double &value)
+{
+    double parsed = 0.0;
+    bool whole = parseWhole(text, parsed, [](const char *s, char **end) {
+        return std::strtod(s, end);
+    });
+    if (!whole || !std::isfinite(parsed))
+        return false;
+    value = parsed;
+    return true;
+}
 
 EnvInt
 parseEnvInt(const char *name)
@@ -17,17 +62,7 @@ parseEnvInt(const char *name)
     if (!env || !*env)
         return result;
     result.present = true;
-    // strtoll skips leading whitespace; strictness requires the string
-    // to start with the number itself.
-    if (std::isspace(static_cast<unsigned char>(env[0])))
-        return result;
-    errno = 0;
-    char *end = nullptr;
-    long long value = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE)
-        return result;
-    result.valid = true;
-    result.value = value;
+    result.valid = parseNumber(env, result.value);
     return result;
 }
 

@@ -9,7 +9,8 @@
  * falls back on malformed or out-of-range input, so a typo in
  * GENESIS_SERVICE_BOARDS or GENESIS_DSE_WORKERS is loud instead of a
  * silent misconfiguration. Every boolean escape hatch goes through
- * envFlag(), so "0" means off for all of them.
+ * envFlag(), so "0" means off for all of them. Numeric command-line
+ * flags use the same full-string parseNumber().
  */
 
 #ifndef GENESIS_BASE_ENV_H
@@ -30,10 +31,20 @@ struct EnvInt {
 };
 
 /**
- * Parse `name` as a strict decimal integer. The entire value must be an
- * optionally-signed decimal number — no leading whitespace, no trailing
- * characters ("4x" and " 4" are both invalid). Out-of-range values are
- * reported as invalid. Never warns; callers decide the policy.
+ * Parse all of `text` as an optionally-signed decimal number: no
+ * leading whitespace and no trailing characters ("4x", " 4" and "1,5"
+ * are all invalid), and a value out of range is invalid too. The double
+ * form also takes fractions and exponents ("1.5", "2e3") but rejects
+ * infinities and NaN. @return false, leaving `value` untouched, when
+ * `text` is null, empty or invalid. Never warns; callers decide the
+ * policy.
+ */
+bool parseNumber(const char *text, long long &value);
+bool parseNumber(const char *text, double &value);
+
+/**
+ * Parse `name` as a strict decimal integer (parseNumber()'s rules).
+ * Never warns; callers decide the policy.
  */
 EnvInt parseEnvInt(const char *name);
 

@@ -1,7 +1,6 @@
 #include "core/accel_common.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "base/logging.h"
 #include "base/timer.h"
@@ -42,17 +41,6 @@ ReadColumns::fromReads(const std::vector<genome::AlignedRead> &reads,
         cols.qualLens.push_back(static_cast<uint32_t>(read.qual.size()));
     }
     return cols;
-}
-
-ReadColumns
-ReadColumns::fromRange(const std::vector<genome::AlignedRead> &reads,
-                       size_t first, size_t last)
-{
-    GENESIS_ASSERT(first <= last && last <= reads.size(),
-                   "bad read range [%zu, %zu)", first, last);
-    std::vector<size_t> indices(last - first);
-    std::iota(indices.begin(), indices.end(), first);
-    return fromReads(reads, indices);
 }
 
 RefColumns

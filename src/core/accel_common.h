@@ -41,11 +41,6 @@ struct ReadColumns {
     fromReads(const std::vector<genome::AlignedRead> &reads,
               const std::vector<size_t> &indices);
 
-    /** Build columns for a contiguous index range [first, last). */
-    static ReadColumns
-    fromRange(const std::vector<genome::AlignedRead> &reads, size_t first,
-              size_t last);
-
     /** @return row lengths of 1 for a scalar column of n rows. */
     static std::vector<uint32_t> scalarLens(size_t n);
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/env.h"
 #include "base/logging.h"
 #include "engine/vec_executor.h"
 #include "genome/cigar.h"
@@ -78,24 +77,7 @@ Catalog::tableNames() const
     return names;
 }
 
-// --- ExecConfig --------------------------------------------------------
-
-ExecConfig
-ExecConfig::fromEnv()
-{
-    ExecConfig config;
-    config.optimize = !envFlag("GENESIS_SQL_NO_OPT");
-    config.vectorize = !envFlag("GENESIS_SQL_NO_VEC");
-    config.ruleMask = sql::ruleMaskFromEnv();
-    return config;
-}
-
 // --- Executor ----------------------------------------------------------
-
-Executor::Executor(Catalog &catalog)
-    : Executor(catalog, ExecConfig::fromEnv())
-{
-}
 
 Executor::Executor(Catalog &catalog, ExecConfig config)
     : catalog_(catalog), config_(config)

@@ -71,9 +71,7 @@ using CustomOp =
 
 /**
  * Execution configuration: logical optimization and vectorized
- * execution are on by default and can be disabled per executor or via
- * the environment (GENESIS_SQL_NO_OPT=1, GENESIS_SQL_NO_VEC=1,
- * GENESIS_OPT_RULES).
+ * execution are on by default and can be disabled per executor.
  */
 struct ExecConfig {
     /** Run optimizePlan() over every select before execution. */
@@ -82,9 +80,6 @@ struct ExecConfig {
     bool vectorize = true;
     /** Rewrite rules enabled when optimizing. */
     uint32_t ruleMask = sql::kAllRules;
-
-    /** Config with the environment overrides applied. */
-    static ExecConfig fromEnv();
 };
 
 class VecExecutor;
@@ -93,8 +88,7 @@ class VecExecutor;
 class Executor
 {
   public:
-    explicit Executor(Catalog &catalog);
-    Executor(Catalog &catalog, ExecConfig config);
+    explicit Executor(Catalog &catalog, ExecConfig config = {});
 
     /** Register a custom operation invocable via EXEC. */
     void registerCustomOp(const std::string &name, CustomOp op);

@@ -9,37 +9,27 @@
 
 namespace genesis::service {
 
-namespace {
-
-/** Read a positive integer env override, else `fallback`. Malformed or
- *  non-positive values warn and fall back (base/env.h strict parse). */
-long long
-envLong(const char *name, long long fallback)
-{
-    return envInt64(name, fallback, 1);
-}
-
-} // namespace
-
 ServiceConfig
 ServiceConfig::fromEnv(ServiceConfig base)
 {
+    // Every knob is a positive integer; malformed or non-positive
+    // values warn and keep the base value (base/env.h strict parse).
     base.numBoards = static_cast<int>(
-        envLong("GENESIS_SERVICE_BOARDS", base.numBoards));
+        envInt64("GENESIS_SERVICE_BOARDS", base.numBoards, 1));
     base.slotsPerBoard = static_cast<int>(
-        envLong("GENESIS_SERVICE_SLOTS", base.slotsPerBoard));
-    base.queueCapacity = static_cast<size_t>(envLong(
+        envInt64("GENESIS_SERVICE_SLOTS", base.slotsPerBoard, 1));
+    base.queueCapacity = static_cast<size_t>(envInt64(
         "GENESIS_SERVICE_QUEUE_CAP",
-        static_cast<long long>(base.queueCapacity)));
+        static_cast<long long>(base.queueCapacity), 1));
     if (envFlag("GENESIS_SERVICE_NO_CACHE"))
         base.enableCache = false;
-    base.deviceCapacityBytes = static_cast<uint64_t>(envLong(
+    base.deviceCapacityBytes = static_cast<uint64_t>(envInt64(
         "GENESIS_SERVICE_DEVICE_MB",
-        static_cast<long long>(base.deviceCapacityBytes >> 20)))
+        static_cast<long long>(base.deviceCapacityBytes >> 20), 1))
         << 20;
-    base.cacheCapacityBytes = static_cast<uint64_t>(envLong(
+    base.cacheCapacityBytes = static_cast<uint64_t>(envInt64(
         "GENESIS_SERVICE_CACHE_MB",
-        static_cast<long long>(base.cacheCapacityBytes >> 20)))
+        static_cast<long long>(base.cacheCapacityBytes >> 20), 1))
         << 20;
     return base;
 }

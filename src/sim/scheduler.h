@@ -59,7 +59,7 @@ namespace genesis::sim {
  * Replicated pipelines are modeled cycle by cycle behind the memory
  * arbiters, so host threads could change only host time, never a
  * simulated number; host concurrency lives above the simulator
- * (BatchRunner lanes, service worker slots, DSE point farming).
+ * (service worker slots, DSE point farming).
  */
 class Simulator
 {

@@ -1,8 +1,5 @@
 #include "sql/optimizer.h"
 
-#include <cstdlib>
-
-#include "base/logging.h"
 #include "sql/rules/rules.h"
 
 namespace genesis::sql {
@@ -24,18 +21,6 @@ constexpr RuleNameEntry kRuleNames[] = {
     {kRuleFilterOrder, "order"},
 };
 
-uint32_t
-ruleBitFromName(const std::string &name)
-{
-    for (const auto &e : kRuleNames) {
-        if (name == e.name)
-            return e.bit;
-    }
-    fatal("unknown optimizer rule '%s' (valid: split, pushdown, "
-          "transfer, reorder, hashjoin, merge, order, all, none)",
-          name.c_str());
-}
-
 } // namespace
 
 const char *
@@ -46,49 +31,6 @@ ruleName(uint32_t bit)
             return e.name;
     }
     return "?";
-}
-
-uint32_t
-ruleMaskFromSpec(const std::string &spec)
-{
-    // Leading '-' means "everything except ..."; a bare name list means
-    // "exactly these".
-    std::vector<std::string> tokens;
-    std::string cur;
-    for (char c : spec) {
-        if (c == ',') {
-            tokens.push_back(cur);
-            cur.clear();
-        } else if (!isspace(static_cast<unsigned char>(c))) {
-            cur += c;
-        }
-    }
-    tokens.push_back(cur);
-
-    uint32_t mask = !tokens.empty() && !tokens[0].empty() &&
-        tokens[0][0] == '-' ? kAllRules : 0;
-    for (const auto &tok : tokens) {
-        if (tok.empty())
-            continue;
-        if (tok == "all")
-            mask = kAllRules;
-        else if (tok == "none")
-            mask = 0;
-        else if (tok[0] == '-')
-            mask &= ~ruleBitFromName(tok.substr(1));
-        else
-            mask |= ruleBitFromName(tok);
-    }
-    return mask;
-}
-
-uint32_t
-ruleMaskFromEnv()
-{
-    const char *spec = std::getenv("GENESIS_OPT_RULES");
-    if (!spec || !*spec)
-        return kAllRules;
-    return ruleMaskFromSpec(spec);
 }
 
 PlanPtr

@@ -9,18 +9,14 @@
  * so join reordering only fires in order-insensitive (aggregated)
  * contexts.
  *
- * Rules can be toggled individually through a bit mask, either in code
- * or via the GENESIS_OPT_RULES environment variable:
- *   GENESIS_OPT_RULES=all | none | [-]name[,[-]name...]
- * e.g. "-reorder" enables everything except join reordering, and
- * "split,order" enables exactly those two rules.
+ * Rules can be toggled individually through a bit mask
+ * (OptimizerOptions::ruleMask, ExecConfig::ruleMask).
  */
 
 #ifndef GENESIS_SQL_OPTIMIZER_H
 #define GENESIS_SQL_OPTIMIZER_H
 
 #include <cstdint>
-#include <string>
 
 #include "sql/cost_model.h"
 #include "sql/plan.h"
@@ -39,12 +35,6 @@ inline constexpr uint32_t kAllRules = 0x7f;
 
 /** @return short name of a single rule bit ("split", "reorder", ...). */
 const char *ruleName(uint32_t bit);
-
-/** Parse a GENESIS_OPT_RULES-style spec into a mask (fatal on typos). */
-uint32_t ruleMaskFromSpec(const std::string &spec);
-
-/** Mask from the GENESIS_OPT_RULES environment variable (or kAllRules). */
-uint32_t ruleMaskFromEnv();
 
 /** Optimizer configuration. */
 struct OptimizerOptions {

@@ -121,6 +121,33 @@ TEST(Env, OutOfRangeValueFallsBack)
     setQuiet(false);
 }
 
+TEST(Env, ParseNumberTakesOnlyTheWholeString)
+{
+    // The bench gate flags parse through this: read loosely, "abc"
+    // would be 0 and turn its gate off.
+    double real = -1.0;
+    EXPECT_TRUE(parseNumber("1.5", real));
+    EXPECT_DOUBLE_EQ(real, 1.5);
+    EXPECT_TRUE(parseNumber("20", real));
+    EXPECT_DOUBLE_EQ(real, 20.0);
+    long long whole = -1;
+    EXPECT_TRUE(parseNumber("20", whole));
+    EXPECT_EQ(whole, 20);
+    EXPECT_FALSE(parseNumber("1.5", whole));
+    for (const char *bad : {"", " 4", "2x", "1,5", "abc"}) {
+        double d = -1.0;
+        long long i = -1;
+        EXPECT_FALSE(parseNumber(bad, d)) << "'" << bad << "'";
+        EXPECT_FALSE(parseNumber(bad, i)) << "'" << bad << "'";
+        EXPECT_DOUBLE_EQ(d, -1.0) << "'" << bad << "'";
+        EXPECT_EQ(i, -1) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseNumber("inf", real));
+    EXPECT_FALSE(parseNumber("nan", real));
+    EXPECT_FALSE(parseNumber(nullptr, real));
+    EXPECT_DOUBLE_EQ(real, 20.0);
+}
+
 TEST(Env, FlagUnsetEmptyOrZeroIsFalse)
 {
     ::unsetenv("GENESIS_TEST_FLAG");

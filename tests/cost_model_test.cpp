@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/accel_common.h"
 #include "engine/executor.h"
@@ -225,8 +227,10 @@ TEST(CostModel, MapperOrdersPredicatesBySelectivity)
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     pipeline::PipelineBuilder builder(session.sim(), 0);
 
-    core::ReadColumns cols = core::ReadColumns::fromRange(
-        w.reads.reads, 0, w.reads.reads.size());
+    std::vector<size_t> every_read(w.reads.reads.size());
+    std::iota(every_read.begin(), every_read.end(), size_t{0});
+    core::ReadColumns cols =
+        core::ReadColumns::fromReads(w.reads.reads, every_read);
     pipeline::QueryBinding binding;
     binding.pos = session.configureMem(
         "READS.POS", std::move(cols.pos),

@@ -20,7 +20,6 @@
 #include "modules/memory_writer.h"
 #include "modules/reducer.h"
 #include "runtime/api.h"
-#include "runtime/batch.h"
 #include "table/column.h"
 
 namespace genesis::runtime {
@@ -757,119 +756,12 @@ TEST(PaperApiConcurrent, SharedTraceSinkCollectsEveryPipeline)
     EXPECT_FALSE(sink.spans().empty());
 }
 
-// --- BatchRunner -----------------------------------------------------------
-
-TEST(Batch, ShardsAcrossLanesMergeResultsAndTiming)
-{
-    constexpr size_t kShards = 7;
-    BatchConfig cfg;
-    cfg.numLanes = 3;
-    BatchRunner runner(cfg);
-
-    int64_t results[kShards] = {};
-    BatchStats stats = runner.run(
-        kShards,
-        [](size_t shard, AcceleratorSession &session) {
-            int64_t base = static_cast<int64_t>(shard) * 10;
-            wireSumPipeline(session, {base + 1, base + 2, base + 3});
-        },
-        [&results](size_t shard, AcceleratorSession &session) {
-            const auto *flushed = session.flush("OUT");
-            ASSERT_EQ(flushed->elements.size(), 1u);
-            results[shard] = flushed->elements[0];
-        });
-
-    for (size_t s = 0; s < kShards; ++s)
-        EXPECT_EQ(results[s], static_cast<int64_t>(s) * 30 + 6);
-    EXPECT_EQ(stats.shards, kShards);
-    EXPECT_GT(stats.totalCycles, 0u);
-    EXPECT_GT(stats.timing.accelSeconds, 0.0);
-    EXPECT_GT(stats.timing.dmaSeconds, 0.0);
-    EXPECT_GE(stats.wallSeconds, 0.0);
-}
-
-TEST(Batch, SharedDeviceMemoryReusesCachedColumns)
-{
-    constexpr size_t kShards = 6;
-    DeviceMemory board;
-    BatchConfig cfg;
-    cfg.numLanes = 2;
-    cfg.sharedDevice = &board;
-    BatchRunner runner(cfg);
-
-    int64_t results[kShards] = {};
-    BatchStats stats = runner.run(
-        kShards,
-        [](size_t shard, AcceleratorSession &session) {
-            // Shared board: per-shard output names, one cached input
-            // shared by every shard.
-            auto in = session.configureMemCached("tbl.VALS", {5, 6, 7},
-                                                 {1, 1, 1}, 4);
-            std::string out_name =
-                "s" + std::to_string(shard) + ".OUT";
-            auto *out = session.configureOutput(out_name, 4);
-            auto *q = session.sim().makeQueue("q");
-            auto *sum_q = session.sim().makeQueue("sum");
-            session.sim().make<modules::MemoryReader>(
-                "rd", in.buffer, session.sim().memory().makePort(0), q,
-                modules::MemoryReaderConfig{});
-            modules::ReducerConfig red;
-            red.op = modules::ReduceOp::Sum;
-            session.sim().make<modules::Reducer>("sum", q, sum_q, red);
-            modules::MemoryWriterConfig wr;
-            session.sim().make<modules::MemoryWriter>(
-                "wr", out, session.sim().memory().makePort(0), sum_q,
-                wr);
-        },
-        [&](size_t shard, AcceleratorSession &session) {
-            std::string out_name =
-                "s" + std::to_string(shard) + ".OUT";
-            const auto *flushed = session.flush(out_name);
-            ASSERT_EQ(flushed->elements.size(), 1u);
-            results[shard] = flushed->elements[0];
-            session.deviceMemory().unpin("tbl.VALS");
-            session.deviceMemory().release(out_name);
-        });
-
-    for (size_t s = 0; s < kShards; ++s)
-        EXPECT_EQ(results[s], 18);
-    EXPECT_EQ(stats.shards, kShards);
-    // One miss uploaded the column; every other shard hit it.
-    auto cache = board.cacheStats();
-    EXPECT_EQ(cache.misses, 1u);
-    EXPECT_EQ(cache.hits, kShards - 1);
-}
-
 TEST(Dma, PresetLookupByName)
 {
     EXPECT_DOUBLE_EQ(DmaConfig::fromName("pcie4").bytesPerSecond,
                      DmaConfig::pcie4().bytesPerSecond);
     EXPECT_EQ(DmaConfig::fromName("pcie3").name, "pcie3");
     EXPECT_THROW(DmaConfig::fromName("carrier-pigeon"), FatalError);
-}
-
-TEST(Batch, ShardTracesMergeIntoSharedSink)
-{
-    TraceSink sink;
-    BatchConfig cfg;
-    cfg.numLanes = 2;
-    cfg.runtime.trace = &sink;
-    cfg.runtime.traceLabel = "batch";
-    BatchRunner runner(cfg);
-
-    runner.run(
-        3,
-        [](size_t, AcceleratorSession &session) {
-            wireSumPipeline(session, {1, 2, 3});
-        },
-        [](size_t, AcceleratorSession &session) {
-            session.flush("OUT");
-        });
-
-    sink.finish();
-    // One trace process per shard, adopted as each shard retired.
-    EXPECT_EQ(sink.numProcesses(), 3u);
-    EXPECT_FALSE(sink.spans().empty());
 }
 
 TEST(RuntimeValidate, DefaultConfigIsValid)
