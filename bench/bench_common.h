@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "base/env.h"
+#include "base/logging.h"
 #include "core/bqsr_accel.h"
 #include "core/markdup_accel.h"
 #include "core/metadata_accel.h"
@@ -60,6 +61,24 @@ flagNumber(const char *flag, const char *text)
         std::exit(2);
     }
     return value;
+}
+
+/**
+ * Return `make()`, which builds a configuration from flag values. A
+ * value that parses but fails validation makes it throw FatalError;
+ * print the error's message and exit 2, as flagNumber() does for a
+ * malformed value.
+ */
+template <typename F>
+auto
+checkedFlags(F &&make)
+{
+    try {
+        return make();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
 }
 
 inline BenchWorkload

@@ -13,11 +13,14 @@
  * Flags:
  *   --out FILE    write the sweep JSON to FILE (default: stdout)
  *   --workers N   concurrent points (default: auto; also
- *                 GENESIS_DSE_WORKERS)
+ *                 GENESIS_DSE_WORKERS, which the flag overrides)
  *   --pairs N     synthetic read pairs (default: 400; also
- *                 GENESIS_DSE_PAIRS)
+ *                 GENESIS_DSE_PAIRS, which the flag overrides)
  *   --check       run the frontier sanity gate; exit 1 on any problem
  *                 (non-empty, monotone front; used by CI)
+ *
+ * A flag value that fails validation (--pairs 0) exits 2 with the
+ * error's message.
  */
 
 #include <cstdio>
@@ -68,6 +71,8 @@ main(int argc, char **argv)
         spec.numPairs = bench::flagNumber<long long>("--pairs", pairs);
 
     dse::HarnessOptions options;
+    options.workers = static_cast<int>(
+        envInt64("GENESIS_DSE_WORKERS", options.workers, 0, 1024));
     if (const char *workers = argValue(argc, argv, "--workers"))
         options.workers = static_cast<int>(
             bench::flagNumber<long long>("--workers", workers));
@@ -75,7 +80,8 @@ main(int argc, char **argv)
     std::fprintf(stderr, "sim_dse: sweeping %zu points (%lld pairs)\n",
                  spec.numPoints(),
                  static_cast<long long>(spec.numPairs));
-    dse::SweepResult result = dse::runSweep(spec, options);
+    dse::SweepResult result =
+        bench::checkedFlags([&] { return dse::runSweep(spec, options); });
 
     const std::string json = dse::toJson(result);
     const char *out = argValue(argc, argv, "--out");

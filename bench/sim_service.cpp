@@ -26,8 +26,9 @@
  *
  * Knobs: GENESIS_BENCH_PAIRS (workload size), GENESIS_SERVICE_JOBS
  * (jobs per load point, default 96), GENESIS_SERVICE_* (fleet shape,
- * see ServiceConfig::fromEnv), --dma pcie3|pcie4, and
- * --require-goodput X (exit 1 unless some point sustains X jobs/s).
+ * see ServiceConfig::fromEnv), --dma pcie3|pcie4 (any other preset
+ * exits 2), and --require-goodput X (exit 1 unless some point sustains
+ * X jobs/s).
  */
 
 #include <algorithm>
@@ -293,8 +294,9 @@ int
 main(int argc, char **argv)
 {
     const char *dma_arg = argValue(argc, argv, "--dma");
-    const runtime::DmaConfig dma = runtime::DmaConfig::fromName(
-        dma_arg ? dma_arg : "pcie3");
+    const runtime::DmaConfig dma = bench::checkedFlags([&] {
+        return runtime::DmaConfig::fromName(dma_arg ? dma_arg : "pcie3");
+    });
     const char *goodput_arg = argValue(argc, argv, "--require-goodput");
     const double require_goodput = goodput_arg
         ? bench::flagNumber<double>("--require-goodput", goodput_arg)

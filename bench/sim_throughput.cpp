@@ -13,7 +13,9 @@
  *    bench workload, i.e. a full design the other benches run.
  *
  * Output is one JSON object per line so CI and scripts can trend the
- * numbers (host Mcycles/s and simulated cycles per wall second).
+ * numbers (host Mcycles/s and simulated cycles per wall second), with
+ * the simulator's work counters: module ticks and fast-forwarded
+ * cycles, which depend on the scheduler but not on the host.
  *
  * Pass `--trace out.json` to also capture a cycle trace of the
  * synthetic scenario (Chrome trace-event JSON for Perfetto). The traced
@@ -162,23 +164,32 @@ class Sink final : public sim::Module
     sim::HardwareQueue *in_;
 };
 
+/** Simulated cycles and the simulator's work counters of one run. */
+struct SimWork {
+    uint64_t cycles = 0;
+    uint64_t moduleTicks = 0;
+    uint64_t fastForwardedCycles = 0;
+};
+
 void
-printResult(const char *scenario, uint64_t cycles, double seconds)
+printResult(const char *scenario, const SimWork &work, double seconds)
 {
-    double mcycles_per_s = seconds > 0
-        ? static_cast<double>(cycles) / seconds / 1e6 : 0.0;
+    const double cycles = static_cast<double>(work.cycles);
     std::printf("{\"bench\": \"sim_throughput\", "
                 "\"scenario\": \"%s\", "
                 "\"sim_cycles\": %" PRIu64 ", "
+                "\"module_ticks\": %" PRIu64 ", "
+                "\"fast_forwarded_cycles\": %" PRIu64 ", "
                 "\"host_seconds\": %.6f, "
                 "\"host_mcycles_per_s\": %.3f, "
                 "\"sim_cycles_per_wall_s\": %.1f}\n",
-                scenario, cycles, seconds, mcycles_per_s,
-                seconds > 0 ? static_cast<double>(cycles) / seconds
-                            : 0.0);
+                scenario, work.cycles, work.moduleTicks,
+                work.fastForwardedCycles, seconds,
+                seconds > 0 ? cycles / seconds / 1e6 : 0.0,
+                seconds > 0 ? cycles / seconds : 0.0);
 }
 
-uint64_t
+SimWork
 runSynthetic(uint64_t flits, uint64_t stride,
              TraceSink *trace = nullptr)
 {
@@ -193,7 +204,9 @@ runSynthetic(uint64_t flits, uint64_t stride,
     simulator.make<Producer>("producer", a, flits);
     simulator.make<MemoryBoundWorker>("worker", port, a, b, stride);
     simulator.make<Sink>("sink", b);
-    return simulator.run();
+    simulator.run();
+    return {simulator.cycle(), simulator.moduleTicks(),
+            simulator.fastForwardedCycles()};
 }
 
 } // namespace
@@ -216,21 +229,21 @@ main(int argc, char **argv)
     constexpr uint64_t kFlits = 200'000;
     constexpr uint64_t kStride = 4;
     {
-        uint64_t cycles = 0;
+        SimWork work;
         double seconds = bench::timeIt(
-            [&] { cycles = runSynthetic(kFlits, kStride); });
-        printResult("synthetic", cycles, seconds);
+            [&] { work = runSynthetic(kFlits, kStride); });
+        printResult("synthetic", work, seconds);
     }
 
     // Same scenario with tracing enabled: quantifies observer cost and
     // produces a trace file for Perfetto.
     if (trace_path) {
         TraceSink trace;
-        uint64_t cycles = 0;
+        SimWork work;
         double seconds = bench::timeIt([&] {
-            cycles = runSynthetic(kFlits, kStride, &trace);
+            work = runSynthetic(kFlits, kStride, &trace);
         });
-        printResult("synthetic_traced", cycles, seconds);
+        printResult("synthetic_traced", work, seconds);
         trace.finish();
         if (!trace.writeJsonFile(trace_path)) {
             std::fprintf(stderr, "cannot write trace to %s\n",
@@ -247,13 +260,14 @@ main(int argc, char **argv)
         core::ExampleAccelConfig cfg;
         cfg.numPipelines = 8;
         cfg.psize = 16'384;
-        uint64_t cycles = 0;
+        SimWork work;
         double seconds = bench::timeIt([&] {
             auto result = core::ExampleAccelerator(cfg).run(
                 workload.reads, workload.genome);
-            cycles = result.info.totalCycles;
+            work = {result.info.totalCycles, result.info.moduleTicks,
+                    result.info.fastForwardedCycles};
         });
-        printResult("example_accel", cycles, seconds);
+        printResult("example_accel", work, seconds);
     }
     return 0;
 }

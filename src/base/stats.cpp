@@ -83,13 +83,10 @@ StatRegistry::merge(const StatRegistry &other)
 }
 
 void
-StatRegistry::creditDelta(const StatRegistry &snapshot, uint64_t times)
+StatRegistry::appendCounters(std::vector<Counter> &out)
 {
-    for (auto &[name, value] : counters_) {
-        uint64_t before = snapshot.get(name);
-        if (value > before)
-            value += (value - before) * times;
-    }
+    for (auto &[name, value] : counters_)
+        out.push_back(&value);
 }
 
 std::string

@@ -82,13 +82,11 @@ class StatRegistry
     /** Merge all counters from another registry into this one. */
     void merge(const StatRegistry &other);
 
-    /**
-     * Credit `times` extra repetitions of the per-cycle deltas observed
-     * since `snapshot` was copied from this registry: every counter grows
-     * by (current - snapshot) * times. Used by the simulator's idle-cycle
-     * fast-forward to account skipped cycles in bulk.
-     */
-    void creditDelta(const StatRegistry &snapshot, uint64_t times);
+    /** @return how many counters exist. */
+    size_t size() const { return counters_.size(); }
+
+    /** Append a handle to every counter, in name order. */
+    void appendCounters(std::vector<Counter> &out);
 
     /** Render a human-readable multi-line report. */
     std::string report(const std::string &prefix = "") const;

@@ -128,6 +128,8 @@ runBatches(size_t items, int num_pipelines,
         session.start();
         session.wait();
         info.totalCycles += session.sim().cycle();
+        info.moduleTicks += session.sim().moduleTicks();
+        info.fastForwardedCycles += session.sim().fastForwardedCycles();
         ++info.batches;
         info.stats.merge(session.sim().collectStats());
 

@@ -74,6 +74,10 @@ struct AccelRunInfo {
      */
     double prepSeconds = 0.0;
     uint64_t totalCycles = 0; ///< summed across sequential batches
+    /** Simulator host work summed across batches (see
+     *  Simulator::moduleTicks() and fastForwardedCycles()). */
+    uint64_t moduleTicks = 0;
+    uint64_t fastForwardedCycles = 0;
     uint64_t batches = 0;
     StatRegistry stats; ///< merged simulator statistics
 };

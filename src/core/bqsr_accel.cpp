@@ -185,7 +185,7 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
     modules::SpmReaderConfig drain_cfg;
     drain_cfg.mode = modules::SpmReadMode::Drain;
     auto drain = [&](const char *name, sim::Scratchpad *spm,
-                     const sim::Module *wait, sim::HardwareQueue *q,
+                     sim::Module *wait, sim::HardwareQueue *q,
                      ColumnBuffer *out) {
         b.add<modules::SpmReader>("SpmReader",
                                   std::string("drain_") + name, spm,

@@ -162,8 +162,9 @@ struct SweepResult {
 
 struct HarnessOptions {
     /** Concurrent points (0 = auto: hardware_concurrency, capped by the
-     *  point count). Overridden by GENESIS_DSE_WORKERS. The frontier
-     *  JSON is byte-identical at any value. */
+     *  point count). `sim_dse` reads it from GENESIS_DSE_WORKERS, then
+     *  from --workers. The frontier JSON is byte-identical at any
+     *  value. */
     int workers = 0;
 };
 

@@ -13,7 +13,6 @@
 #include <mutex>
 #include <thread>
 
-#include "base/env.h"
 #include "base/logging.h"
 #include "core/bqsr_accel.h"
 #include "core/markdup_accel.h"
@@ -226,8 +225,7 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
     const Workload *shared_ptr =
         spec.perPointWorkloads ? nullptr : &shared;
 
-    int workers = static_cast<int>(envInt64(
-        "GENESIS_DSE_WORKERS", options.workers, 0, 1024));
+    int workers = options.workers;
     if (workers <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
         workers = static_cast<int>(hw ? hw : 1);

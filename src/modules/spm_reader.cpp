@@ -32,14 +32,14 @@ SpmReader::SpmReader(std::string name, const sim::Scratchpad *spm,
 }
 
 SpmReader::SpmReader(std::string name, const sim::Scratchpad *spm,
-                     const sim::Module *wait_for, sim::HardwareQueue *out,
+                     sim::Module *wait_for, sim::HardwareQueue *out,
                      const SpmReaderConfig &config)
-    : Module(std::move(name)), spm_(spm), out_(out), waitFor_(wait_for),
-      config_(config)
+    : Module(std::move(name)), spm_(spm), out_(out), config_(config)
 {
+    config_.waitFor = wait_for;
     GENESIS_ASSERT(config_.mode == SpmReadMode::Drain,
                    "drain constructor requires Drain mode");
-    GENESIS_ASSERT(spm_ && waitFor_ && out_, "SPM reader wiring");
+    GENESIS_ASSERT(spm_ && config_.waitFor && out_, "SPM reader wiring");
 }
 
 void
@@ -63,9 +63,14 @@ SpmReader::tick()
     if (closed_)
         return;
     if (config_.waitFor && !config_.waitFor->done()) {
-        // Done-waits must spin, not sleep: done() is evaluated live in
-        // tick order, and no queue/port event marks its flip.
-        countStall(stallSpmInit_);
+        // The preload (or, for Drain, the updates) is still running.
+        // Sleep until the waited-on module finishes: its done event
+        // wakes this reader in the cycle a spinning one would see it.
+        StatHandle stall = config_.mode == SpmReadMode::Drain
+            ? nullptr : stallSpmInit_;
+        if (stall)
+            countStall(stall);
+        sleepOn(stall, {&config_.waitFor->doneWaiters()});
         return;
     }
     if (!out_->canPush()) {
@@ -145,8 +150,6 @@ SpmReader::tick()
         return;
       }
       case SpmReadMode::Drain: {
-        if (!waitFor_->done())
-            return;
         if (cursor_ >= static_cast<int64_t>(spm_->sizeWords())) {
             out_->close();
             closed_ = true;

@@ -9,6 +9,9 @@
  *    all words in [start, end) stream out followed by a boundary flit;
  *  - Drain: once a designated producer module finishes, every word of the
  *    scratchpad streams out (used to dump BQSR count buffers to memory).
+ *
+ * A reader that waits on another module's done() sleeps on its
+ * doneWaiters() list until that module finishes.
  */
 
 #ifndef GENESIS_MODULES_SPM_READER_H
@@ -42,9 +45,11 @@ struct SpmReaderConfig {
     /**
      * Do not start reading until this module reports done — models the
      * phased execution where the SPM Updater initialises the scratchpad
-     * from memory before any read is processed.
+     * from memory before any read is processed. Each waited cycle counts
+     * as stall.spm_init. A Drain reader waits on the module its
+     * constructor names instead, counting no stall.
      */
-    const sim::Module *waitFor = nullptr;
+    sim::Module *waitFor = nullptr;
 };
 
 /** Streams scratchpad contents into a queue. */
@@ -63,7 +68,7 @@ class SpmReader : public sim::Module
 
     /** Drain constructor: streams [0, spm size) after wait_for is done. */
     SpmReader(std::string name, const sim::Scratchpad *spm,
-              const sim::Module *wait_for, sim::HardwareQueue *out,
+              sim::Module *wait_for, sim::HardwareQueue *out,
               const SpmReaderConfig &config);
 
     void tick() override;
@@ -80,7 +85,6 @@ class SpmReader : public sim::Module
     sim::HardwareQueue *startIn_ = nullptr;
     sim::HardwareQueue *endIn_ = nullptr;
     sim::HardwareQueue *out_ = nullptr;
-    const sim::Module *waitFor_ = nullptr;
     SpmReaderConfig config_;
 
     bool intervalActive_ = false;

@@ -10,15 +10,18 @@ Module::wake()
     asleep_ = false;
     // Credit the slept span: a spinning module would have re-counted the
     // declared stall (and re-marked its trace span) on every cycle from
-    // the sleep cycle exclusive through the wake cycle inclusive.
-    uint64_t slept = *schedCycle_ - sleepCycle_;
+    // the sleep cycle exclusive through the wake cycle inclusive. Woken
+    // by a module earlier in tick order, it would have seen the change
+    // in the wake cycle itself, so that cycle is its re-tick instead.
+    const bool this_cycle = *tickCursor_ < schedIndex_;
+    uint64_t slept = *schedCycle_ - sleepCycle_ - (this_cycle ? 1 : 0);
     if (slept && sleepStall_) {
         *sleepStall_ += slept;
         if (trace_)
             trace_->creditSleep(traceTrack_, sleepCycle_ + 1, slept);
     }
     sleepLists_.clear();
-    wakeQueue_->push_back(this);
+    (this_cycle ? wakeNow_ : wakeQueue_)->push_back(this);
 }
 
 std::string

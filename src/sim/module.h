@@ -31,10 +31,13 @@
  * bit-identical to a tick-everything run. The wait set must cover every
  * resource the blocked tick (and done()) reads: an event the set misses
  * would leave the module asleep through a state change it should have
- * observed. Spurious wakes are harmless — the re-tick is exactly the
- * tick a spinning module would have executed, and it may simply sleep
- * again. Set GENESIS_SIM_NO_SLEEP=1 to disable sleeping (escape hatch;
- * simulated results are identical either way).
+ * observed. A wait on another module's done() sleeps on that module's
+ * doneWaiters(); done() may therefore flip only during the module's own
+ * tick, at a queue commit or at a memory retirement, the three places
+ * the Simulator fires that list. Spurious wakes are harmless — the
+ * re-tick is exactly the tick a spinning module would have executed,
+ * and it may simply sleep again. Set GENESIS_SIM_NO_SLEEP=1 to disable
+ * sleeping (escape hatch; simulated results are identical either way).
  */
 
 #ifndef GENESIS_SIM_MODULE_H
@@ -58,7 +61,10 @@ class Module
     /** Interned per-module counter handle (see StatRegistry::Counter). */
     using StatHandle = StatRegistry::Counter;
 
-    explicit Module(std::string name) : name_(std::move(name)) {}
+    explicit Module(std::string name) : name_(std::move(name))
+    {
+        doneWaiters_.setName("module " + name_ + " done");
+    }
     virtual ~Module() = default;
 
     Module(const Module &) = delete;
@@ -83,17 +89,23 @@ class Module
 
     /**
      * Wire sleep/wake into the owning Simulator: `cycle` is the
-     * simulator clock (read when computing a slept span), `wake_queue`
-     * receives this module when a WaitList wakes it, and `sleep_enabled`
-     * is false under GENESIS_SIM_NO_SLEEP=1, turning sleepOn() into a
-     * no-op. Standalone modules (unit tests) work without attachment.
+     * simulator clock (read when computing a slept span), `tick_cursor`
+     * the tick-order index of the module ticking now (SIZE_MAX between
+     * tick phases), `wake_queue` receives this module when a WaitList
+     * wakes it for the next cycle and `wake_now` when it wakes it into
+     * the current one, and `sleep_enabled` is false under
+     * GENESIS_SIM_NO_SLEEP=1, turning sleepOn() into a no-op. Standalone
+     * modules (unit tests) work without attachment.
      */
     void
-    attachScheduler(const uint64_t *cycle,
-                    std::vector<Module *> *wake_queue, bool sleep_enabled)
+    attachScheduler(const uint64_t *cycle, const size_t *tick_cursor,
+                    std::vector<Module *> *wake_queue,
+                    std::vector<Module *> *wake_now, bool sleep_enabled)
     {
         schedCycle_ = cycle;
+        tickCursor_ = tick_cursor;
         wakeQueue_ = wake_queue;
+        wakeNow_ = wake_now;
         sleepEnabled_ = sleep_enabled;
     }
 
@@ -105,9 +117,21 @@ class Module
      * to the stall bucket declared at sleepOn() — and extends the
      * module's open trace span — so counters and traces match what a
      * spinning module would have recorded, then queues the module for
-     * re-activation. Called by WaitList::wakeAll().
+     * re-activation. A wake fired while an earlier module in tick order
+     * ticks (its done event, an SPM hazard release) changed state this
+     * module reads live, and this module has not ticked yet this cycle:
+     * it ticks in this cycle, so one slept cycle fewer is credited.
+     * Called by WaitList::wakeAll().
      */
     void wake();
+
+    /**
+     * Sleepers waiting for this module's done() to turn true. The
+     * Simulator fires the list right after this module's tick when
+     * done() flipped during it, and when it latches a flip that a queue
+     * commit or a memory retirement caused.
+     */
+    WaitList &doneWaiters() { return doneWaiters_; }
 
     /** Scheduler bookkeeping: whether the module sits in the active
      *  list (maintained by the Simulator, not by the module). */
@@ -237,7 +261,10 @@ class Module
     uint64_t *progress_ = &localProgress_;
     /** Sleep/wake attachment (see attachScheduler / sleepOn / wake). */
     const uint64_t *schedCycle_ = nullptr;
+    const size_t *tickCursor_ = nullptr;
     std::vector<Module *> *wakeQueue_ = nullptr;
+    std::vector<Module *> *wakeNow_ = nullptr;
+    WaitList doneWaiters_;
     bool sleepEnabled_ = false;
     bool asleep_ = false;
     bool schedActive_ = false;

@@ -128,11 +128,11 @@ class HardwareQueue
 
     std::string name_;
     size_t capacity_;
-    /** Committed flits: capacity_ slots, allocated at construction. */
+    /** Committed flits: capacity_ slots, allocated at construction. A
+     *  staged push waits in the slot after the youngest flit. */
     Ring<Flit> buffer_;
 
     bool stagedPushValid_ = false;
-    Flit stagedPush_;
     bool stagedPop_ = false;
     bool stagedClose_ = false;
     bool closed_ = false;
@@ -173,7 +173,9 @@ HardwareQueue::push(const Flit &flit)
 {
     if (!canPush() || closed_ || stagedClose_)
         failPush();
-    stagedPush_ = flit;
+    // canPush() leaves the ring a free slot: stage the flit in it, where
+    // commit() only has to count it in.
+    buffer_.nextSlot() = flit;
     stagedPushValid_ = true;
     markDirty();
 }
@@ -217,7 +219,9 @@ HardwareQueue::commit()
         stagedPop_ = false;
     }
     if (stagedPushValid_) {
-        buffer_.push_back(stagedPush_);
+        // The pop above moved the head and the size by one each, so the
+        // staged flit is still the slot after the youngest.
+        buffer_.pushNextSlot();
         ++totalFlits_;
         stagedPushValid_ = false;
     }

@@ -44,9 +44,15 @@ class Ring
     {
         if (size_ == slots_.size())
             grow();
-        slots_[wrap(head_ + size_)] = value;
+        nextSlot() = value;
         ++size_;
     }
+
+    /** The free slot the next push fills; the ring must not be full. */
+    T &nextSlot() { return slots_[wrap(head_ + size_)]; }
+
+    /** Append the element already written into nextSlot(). */
+    void pushNextSlot() { ++size_; }
 
     /** Drop the oldest element; the ring must not be empty. */
     void

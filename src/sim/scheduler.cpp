@@ -69,8 +69,20 @@ Simulator::allDone() const
 void
 Simulator::step()
 {
-    for (Module *m : active_)
+    // active_ may grow while it is walked: a wake fired by a tick (a
+    // done event, a hazard release) admits later modules into this
+    // cycle (see Module::wake).
+    for (size_t i = 0; i < active_.size(); ++i) {
+        Module *m = active_[i];
+        tickCursor_ = m->schedIndex();
         m->tick();
+        if (!m->doneWaiters().empty() && m->done())
+            m->doneWaiters().wakeAll();
+        if (!wokenNow_.empty())
+            admitWokenNow(i);
+    }
+    tickCursor_ = kNotTicking;
+    moduleTicks_ += active_.size();
     // Commit only queues that staged work this cycle; the rest are
     // untouched by construction. Commits (like memory retirements and
     // hazard releases) fire WaitLists, appending sleepers to woken_.
@@ -80,6 +92,26 @@ Simulator::step()
     memory_.tick();
     updateActiveSet();
     ++cycle_;
+}
+
+void
+Simulator::admitWokenNow(size_t ticked)
+{
+    auto by_index = [](const Module *a, const Module *b) {
+        return a->schedIndex() < b->schedIndex();
+    };
+    for (Module *m : wokenNow_) {
+        // A module here slept since an earlier cycle, so it is out of
+        // active_, and ticks after active_[ticked]. Skip one that
+        // latched done while asleep, as updateActiveSet() does.
+        if (m->schedDone())
+            continue;
+        auto at = std::lower_bound(active_.begin() + ticked + 1,
+                                   active_.end(), m, by_index);
+        active_.insert(at, m);
+        m->setSchedActive(true);
+    }
+    wokenNow_.clear();
 }
 
 void
@@ -110,8 +142,10 @@ Simulator::updateActiveSet()
         return;
     // Re-admit woken sleepers, skipping any that latched done while
     // asleep and any still in the active list (same-cycle sleep/wake).
+    // A latch may wake done-waiters onto woken_'s end, so walk by index.
     size_t keep = 0;
-    for (Module *m : woken_) {
+    for (size_t i = 0; i < woken_.size(); ++i) {
+        Module *m = woken_[i];
         maybeLatchDone(m);
         if (m->schedDone() || m->schedActive())
             continue;
@@ -139,27 +173,41 @@ Simulator::updateActiveSet()
     woken_.clear();
 }
 
-void
-Simulator::snapshotStats()
+size_t
+Simulator::countStatCounters() const
 {
-    statSnapshots_.clear();
-    statSnapshots_.reserve(modules_.size() + scratchpads_.size() + 1);
+    size_t count = memory_.stats().size();
     for (const auto &m : modules_)
-        statSnapshots_.push_back(m->stats());
+        count += m->stats().size();
     for (const auto &s : scratchpads_)
-        statSnapshots_.push_back(s->stats());
-    statSnapshots_.push_back(memory_.stats());
+        count += s->stats().size();
+    return count;
+}
+
+void
+Simulator::gatherStatCounters()
+{
+    statCounters_.clear();
+    for (auto &m : modules_)
+        m->stats().appendCounters(statCounters_);
+    for (auto &s : scratchpads_)
+        s->stats().appendCounters(statCounters_);
+    memory_.stats().appendCounters(statCounters_);
+    statBase_.resize(statCounters_.size());
 }
 
 void
 Simulator::creditSkippedCycles(uint64_t times)
 {
-    size_t i = 0;
-    for (auto &m : modules_)
-        m->stats().creditDelta(statSnapshots_[i++], times);
-    for (auto &s : scratchpads_)
-        s->stats().creditDelta(statSnapshots_[i++], times);
-    memory_.stats().creditDelta(statSnapshots_[i++], times);
+    // A counter created after gatherStatCounters() would miss its
+    // credit; components intern every counter when they are built.
+    GENESIS_ASSERT(countStatCounters() == statCounters_.size(),
+                   "a statistic counter was created during run()");
+    for (size_t i = 0; i < statCounters_.size(); ++i) {
+        uint64_t &value = *statCounters_[i];
+        if (value > statBase_[i])
+            value += (value - statBase_[i]) * times;
+    }
 }
 
 uint64_t
@@ -170,6 +218,8 @@ Simulator::run(uint64_t max_cycles)
     const uint64_t deadlock_horizon =
         10'000 + 100ull * memory_.config().latencyCycles;
 
+    if (fastForwardEnabled_)
+        gatherStatCounters();
     uint64_t last_progress = progress_;
     uint64_t quiet_cycles = 0;
     while (!allDone()) {
@@ -216,7 +266,8 @@ Simulator::run(uint64_t max_cycles)
         // Execute one more (provably idle) cycle normally to sample the
         // exact per-cycle stat deltas — each module's stall buckets and
         // the memory system's idle-channel accrual.
-        snapshotStats();
+        for (size_t i = 0; i < statCounters_.size(); ++i)
+            statBase_[i] = *statCounters_[i];
         step();
         if (progress_ != last_progress) {
             // Defensive: a module made silent progress without honoring
@@ -245,6 +296,7 @@ Simulator::run(uint64_t max_cycles)
         if (trace_)
             trace_->creditSkipped(cycle_, skip);
         cycle_ += skip;
+        fastForwardedCycles_ += skip;
         memory_.fastForward(skip);
         quiet_cycles += skip;
         if (quiet_cycles > deadlock_horizon) {

@@ -11,6 +11,7 @@
 #ifndef GENESIS_SIM_SCHEDULER_H
 #define GENESIS_SIM_SCHEDULER_H
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -36,19 +37,20 @@ namespace genesis::sim {
  *  - step() ticks only the active set: a module whose tick made no
  *    progress declares what it is blocked on (sleepOn) and is parked
  *    until the blocking resource — a queue commit, a memory-port
- *    retirement, an SPM hazard release — wakes it, with the slept span
- *    credited to its stall bucket and trace span on wake. Modules whose
- *    done() latched are retired from the set outright, and allDone() is
- *    a counter compare instead of an O(modules) scan. Set
- *    GENESIS_SIM_NO_SLEEP=1 to disable sleeping (escape hatch;
- *    simulated results are identical either way);
+ *    retirement, an SPM hazard release, another module's done() — wakes
+ *    it, with the slept span credited to its stall bucket and trace span
+ *    on wake. Modules whose done() latched are retired from the set
+ *    outright, and allDone() is a counter compare instead of an
+ *    O(modules) scan. Set GENESIS_SIM_NO_SLEEP=1 to disable sleeping
+ *    (escape hatch; simulated results are identical either way);
  *  - runs of provably idle cycles (every module stalled or asleep, the
  *    memory system waiting on a completion) are fast-forwarded to the
  *    next memory event, with the skipped cycles' stall/idle statistics
  *    credited in bulk so all counters stay bit-identical to a
- *    cycle-by-cycle run. Set GENESIS_SIM_NO_FASTFORWARD=1 to disable
- *    the fast-forward (escape hatch; simulated results are identical
- *    either way).
+ *    cycle-by-cycle run. The crediting reads every counter through a
+ *    handle gathered once per run(), so a jump allocates nothing. Set
+ *    GENESIS_SIM_NO_FASTFORWARD=1 to disable the fast-forward (escape
+ *    hatch; simulated results are identical either way).
  *
  * Sleeping also sharpens deadlock detection: an empty active set with
  * no pending memory event is a provable deadlock — nothing can ever
@@ -88,7 +90,8 @@ class Simulator
         T *raw = module.get();
         claimName("module", raw->name());
         raw->attachProgress(&progress_);
-        raw->attachScheduler(&cycle_, &woken_, sleepEnabled_);
+        raw->attachScheduler(&cycle_, &tickCursor_, &woken_, &wokenNow_,
+                             sleepEnabled_);
         raw->setSchedIndex(modules_.size());
         if (trace_)
             raw->attachTrace(trace_, &cycle_, tracePid_);
@@ -147,6 +150,15 @@ class Simulator
     uint64_t progress() const { return progress_; }
 
     /**
+     * Host work counters: module tick() calls and cycles skipped by the
+     * idle-cycle fast-forward, across all run()/step() calls. They
+     * measure the scheduler, not the hardware, so they stay out of
+     * collectStats().
+     */
+    uint64_t moduleTicks() const { return moduleTicks_; }
+    uint64_t fastForwardedCycles() const { return fastForwardedCycles_; }
+
+    /**
      * Start recording this design's activity into `sink` as one trace
      * process named `label`: a span track per module, a counter track
      * per queue and scratchpad, async request lifetimes per memory port
@@ -168,24 +180,34 @@ class Simulator
      */
     void claimName(const char *kind, const std::string &name);
 
-    /** Latch a freshly-done module (advances the allDone() count). */
+    /** Latch a freshly-done module (advances the allDone() count) and
+     *  wake its done-waiters for the next cycle. */
     void
     maybeLatchDone(Module *m)
     {
         if (!m->schedDone() && m->done()) {
             m->setSchedDone(true);
             ++doneCount_;
+            m->doneWaiters().wakeAll();
         }
     }
+
+    /** Insert wokenNow_ into active_ after position `ticked`, in tick
+     *  order, so they tick later in this same cycle. */
+    void admitWokenNow(size_t ticked);
 
     /** Drop asleep/done modules from active_, merge woken_ back in
      *  (tick order preserved), and latch newly-done modules. */
     void updateActiveSet();
 
-    /** Snapshot all stat registries (modules, memory, scratchpads). */
-    void snapshotStats();
+    /** Total counters of the modules, scratchpads and memory system. */
+    size_t countStatCounters() const;
 
-    /** Credit `times` repeats of the deltas since snapshotStats(). */
+    /** Gather a handle to every counter into statCounters_. */
+    void gatherStatCounters();
+
+    /** Credit `times` repeats of each counter's growth since statBase_
+     *  was sampled. */
     void creditSkippedCycles(uint64_t times);
 
     /** Render queue/module/memory state for deadlock diagnostics. */
@@ -208,6 +230,13 @@ class Simulator
     /** Modules woken this cycle by a WaitList; merged back into
      *  active_ at end of step(). */
     std::vector<Module *> woken_;
+    /** Modules woken by an earlier module's tick; step() inserts them
+     *  into active_ to tick later in the same cycle. */
+    std::vector<Module *> wokenNow_;
+    /** Tick-order index of the module ticking now (see Module::wake);
+     *  kNotTicking between tick phases. */
+    static constexpr size_t kNotTicking = SIZE_MAX;
+    size_t tickCursor_ = kNotTicking;
     /** Scratch buffer for the active/woken order-preserving merge. */
     std::vector<Module *> mergeScratch_;
     /** Modules with done() latched; allDone() compares against
@@ -217,8 +246,13 @@ class Simulator
     bool sleepEnabled_ = true;
     /** GENESIS_SIM_NO_FASTFORWARD escape hatch (read at construction). */
     bool fastForwardEnabled_ = true;
-    /** Scratch buffers for idle-cycle stat sampling. */
-    std::vector<StatRegistry> statSnapshots_;
+    /** Every module, scratchpad and memory counter (interned at
+     *  construction; gathered once per run()). */
+    std::vector<StatRegistry::Counter> statCounters_;
+    /** statCounters_' values before the fast-forward's sample cycle. */
+    std::vector<uint64_t> statBase_;
+    uint64_t moduleTicks_ = 0;
+    uint64_t fastForwardedCycles_ = 0;
     /** Tracing attachment (null = disabled; see attachTrace). */
     TraceSink *trace_ = nullptr;
     int tracePid_ = -1;

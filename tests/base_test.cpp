@@ -369,18 +369,18 @@ TEST(StatRegistry, CounterKeepsIterationOrder)
     EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(StatRegistry, CreditDeltaMultipliesGrowth)
+TEST(StatRegistry, AppendCountersHandlesEveryCounterInNameOrder)
 {
     StatRegistry r;
-    r.add("grew", 5);
-    r.add("steady", 7);
-    StatRegistry snapshot = r;
-    r.add("grew", 2);
-    r.add("fresh", 1); // created after the snapshot: full value grew
-    r.creditDelta(snapshot, 10);
-    EXPECT_EQ(r.get("grew"), 5u + 2u + 2u * 10u);
-    EXPECT_EQ(r.get("steady"), 7u);
-    EXPECT_EQ(r.get("fresh"), 1u + 1u * 10u);
+    r.add("b", 2);
+    StatRegistry::Counter a = r.counter("a");
+    std::vector<StatRegistry::Counter> handles{nullptr};
+    r.appendCounters(handles); // appends after what is there
+    ASSERT_EQ(handles.size(), 1u + r.size());
+    EXPECT_EQ(handles[1], a);
+    EXPECT_EQ(*handles[2], 2u);
+    *handles[2] += 5; // the handles alias the named counters
+    EXPECT_EQ(r.get("b"), 7u);
 }
 
 TEST(StatRegistry, ReportContainsEntries)

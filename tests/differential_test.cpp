@@ -197,6 +197,44 @@ class DifferentialGoldenModel
         expectPinned(pins, hw.info);
     }
 
+    /**
+     * The active-set (sleep/wake) scheduler is a pure host-side
+     * optimisation: simulated cycle counts and every merged simulator
+     * statistic must be bit-identical with it disabled
+     * (GENESIS_SIM_NO_SLEEP=1), and with the idle-cycle fast-forward
+     * disabled on top. `run_once` runs one design and returns its
+     * AccelRunInfo; the default run must also reproduce the grid point's
+     * row of `pins`.
+     */
+    template <size_t N, typename Run>
+    void
+    expectSchedulingExact(const PinnedRun (&pins)[N], Run run_once) const
+    {
+        const AccelRunInfo base = run_once();
+        EXPECT_GT(base.totalCycles, 0u);
+        expectPinned(pins, base);
+        {
+            ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
+            const AccelRunInfo no_sleep = run_once();
+            ::unsetenv("GENESIS_SIM_NO_SLEEP");
+            EXPECT_EQ(base.totalCycles, no_sleep.totalCycles)
+                << "cycle drift with sleep disabled, pairs=" << pairs_
+                << " seed=" << seed_;
+            EXPECT_EQ(base.stats.counters(), no_sleep.stats.counters());
+        }
+        {
+            ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
+            ::setenv("GENESIS_SIM_NO_FASTFORWARD", "1", 1);
+            const AccelRunInfo plain = run_once();
+            ::unsetenv("GENESIS_SIM_NO_FASTFORWARD");
+            ::unsetenv("GENESIS_SIM_NO_SLEEP");
+            EXPECT_EQ(base.totalCycles, plain.totalCycles)
+                << "cycle drift vs tick-everything, pairs=" << pairs_
+                << " seed=" << seed_;
+            EXPECT_EQ(base.stats.counters(), plain.stats.counters());
+        }
+    }
+
     int64_t pairs_ = 0;
     uint64_t seed_ = 0;
     test::SmallWorkload workload_;
@@ -282,40 +320,55 @@ TEST_P(DifferentialGoldenModel, ExampleNoSpmCountsMatchSoftwareExactly)
 
 TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
 {
-    // The active-set (sleep/wake) scheduler is a pure host-side
-    // optimisation: simulated cycle counts and every merged simulator
-    // statistic must be bit-identical with it disabled
-    // (GENESIS_SIM_NO_SLEEP=1), and with the idle-cycle fast-forward
-    // disabled on top, across the whole size x seed grid. The base run
-    // must also reproduce the grid point's pinned values exactly.
-    auto run_once = [&] {
+    expectSchedulingExact(kPinnedMarkDup, [&] {
         auto reads = workload_.reads.reads;
         MarkDupAccelConfig cfg;
         cfg.numPipelines = pipelinesForSize();
         return MarkDupAccelerator(cfg).run(reads).info;
-    };
-    const AccelRunInfo base = run_once();
-    EXPECT_GT(base.totalCycles, 0u);
-    expectPinned(kPinnedMarkDup, base);
-    {
-        ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
-        const AccelRunInfo no_sleep = run_once();
-        ::unsetenv("GENESIS_SIM_NO_SLEEP");
-        EXPECT_EQ(base.totalCycles, no_sleep.totalCycles)
-            << "cycle drift with sleep disabled, pairs=" << pairs_
-            << " seed=" << seed_;
-        EXPECT_EQ(base.stats.counters(), no_sleep.stats.counters());
-    }
-    {
-        ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
-        ::setenv("GENESIS_SIM_NO_FASTFORWARD", "1", 1);
-        const AccelRunInfo plain = run_once();
-        ::unsetenv("GENESIS_SIM_NO_FASTFORWARD");
-        ::unsetenv("GENESIS_SIM_NO_SLEEP");
-        EXPECT_EQ(base.totalCycles, plain.totalCycles)
-            << "cycle drift vs tick-everything, pairs=" << pairs_
-            << " seed=" << seed_;
-        EXPECT_EQ(base.stats.counters(), plain.stats.counters());
+    });
+}
+
+// The designs below wait on another module's done(): their SPM readers
+// sleep through the preload (Metadata Update, BQSR, the match count with
+// its SPM) and BQSR's drains sleep through the count updates.
+
+TEST_P(DifferentialGoldenModel, MetadataSleepSchedulingIsCycleExact)
+{
+    expectSchedulingExact(kPinnedMetadata, [&] {
+        auto reads = workload_.reads.reads;
+        MetadataAccelConfig cfg;
+        cfg.numPipelines = pipelinesForSize();
+        cfg.psize = 8'192;
+        return MetadataAccelerator(cfg).run(reads, workload_.genome).info;
+    });
+}
+
+TEST_P(DifferentialGoldenModel, BqsrSleepSchedulingIsCycleExact)
+{
+    expectSchedulingExact(kPinnedBqsr, [&] {
+        BqsrAccelConfig cfg;
+        cfg.numPipelines = pipelinesForSize();
+        cfg.psize = 8'192;
+        return BqsrAccelerator(cfg)
+            .run(workload_.reads.reads, workload_.genome)
+            .info;
+    });
+}
+
+TEST_P(DifferentialGoldenModel, ExampleSleepSchedulingIsCycleExact)
+{
+    for (bool use_spm : {true, false}) {
+        SCOPED_TRACE(use_spm ? "with SPM" : "without SPM");
+        expectSchedulingExact(use_spm ? kPinnedExample : kPinnedExampleNoSpm,
+                              [&] {
+            ExampleAccelConfig cfg;
+            cfg.numPipelines = pipelinesForSize();
+            cfg.psize = 8'192;
+            cfg.useSpm = use_spm;
+            return ExampleAccelerator(cfg)
+                .run(workload_.reads.reads, workload_.genome)
+                .info;
+        });
     }
 }
 

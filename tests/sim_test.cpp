@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/logging.h"
@@ -562,6 +566,64 @@ TEST(Simulator, FastForwardMatchesCycleByCycle)
     EXPECT_GT(fast.at("cycles"), 6'000u); // 20 reads x 300+ cycles
 }
 
+// Interns a counter in its first tick, after run() gathered the counter
+// handles, then waits out one memory read.
+class LateCounter final : public Module
+{
+  public:
+    LateCounter(std::string name, MemoryPort *port)
+        : Module(std::move(name)), port_(port)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (done_)
+            return;
+        if (!issued_) {
+            statCounter("late");
+            port_->issue(0, 64, false);
+            issued_ = true;
+            return;
+        }
+        if (port_->takeCompletedReadBytes() == 0) {
+            countStall(stallMemory_);
+            return;
+        }
+        done_ = true;
+        noteProgress();
+    }
+
+    bool done() const override { return done_; }
+
+  private:
+    StatHandle stallMemory_ = stallCounter("memory");
+    MemoryPort *port_;
+    bool issued_ = false;
+    bool done_ = false;
+};
+
+TEST(Simulator, CounterCreatedDuringRunPanicsAtFastForward)
+{
+    // The fast-forward credits the counters gathered when run() began;
+    // one created later would silently miss its credit.
+    setQuiet(true);
+    MemoryConfig cfg;
+    cfg.latencyCycles = 300;
+    Simulator sim(cfg);
+    sim.make<LateCounter>("late", sim.memory().makePort(0));
+    try {
+        sim.run();
+        FAIL() << "expected a panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("created during run()"),
+                  std::string::npos)
+            << e.what();
+    }
+    setQuiet(false);
+}
+
 /** Sets an environment variable for the enclosing scope. */
 class ScopedEnv
 {
@@ -734,8 +796,9 @@ TEST(SleepWake, MemoryRetireWakesAndStaysCycleExact)
 }
 
 // Sleeps on the SPM hazard scoreboard while a given address is under an
-// in-flight read-modify-write. Must be added BEFORE the updater so the
-// mid-tick hazardRelease wake lands in its already-ticked past.
+// in-flight read-modify-write. The updater releases the address mid-tick:
+// a waiter ticked before it wakes for the next cycle, one ticked after it
+// in the same cycle.
 class HazardWaiter final : public Module
 {
   public:
@@ -774,16 +837,20 @@ class HazardWaiter final : public Module
 
 TEST(SleepWake, HazardClearanceWakesAndStaysCycleExact)
 {
-    auto run_once = [](bool *saw_held) {
+    auto run_once = [](bool waiter_first, bool *saw_held) {
         Simulator sim;
         auto *spm = sim.makeScratchpad("spm", 16);
         auto *in = sim.makeQueue("in");
         sim.make<test::VectorSource>(
             "src", in, std::vector<Flit>{makeFlit(5)});
-        auto *waiter = sim.make<HazardWaiter>("waiter", spm, 5);
+        HazardWaiter *waiter = nullptr;
+        if (waiter_first)
+            waiter = sim.make<HazardWaiter>("waiter", spm, 5);
         modules::SpmUpdaterConfig ucfg;
         ucfg.mode = modules::SpmUpdateMode::ReadModifyWrite;
         sim.make<modules::SpmUpdater>("updater", spm, in, ucfg);
+        if (!waiter_first)
+            waiter = sim.make<HazardWaiter>("waiter", spm, 5);
         sim.run();
         if (saw_held)
             *saw_held = waiter->sawHeld();
@@ -791,11 +858,201 @@ TEST(SleepWake, HazardClearanceWakesAndStaysCycleExact)
         EXPECT_EQ(spm->read(5), 1); // the RMW increment landed
         return sim.collectStats().counters();
     };
-    bool saw_held = false;
-    auto base = run_once(&saw_held);
-    EXPECT_TRUE(saw_held); // the hazard window was actually observed
+    for (bool waiter_first : {true, false}) {
+        SCOPED_TRACE(waiter_first ? "waiter first" : "updater first");
+        bool saw_held = false;
+        auto base = run_once(waiter_first, &saw_held);
+        EXPECT_TRUE(saw_held); // the hazard window was actually observed
+        ScopedEnv no_sleep("GENESIS_SIM_NO_SLEEP", "1");
+        EXPECT_EQ(base, run_once(waiter_first, nullptr));
+    }
+}
+
+// Finishes during its own tick at `finish_cycle`: done() flips mid-tick,
+// as an RMW SPM updater's does when its last write-back lands.
+class FinishAtCycle final : public Module
+{
+  public:
+    FinishAtCycle(std::string name, const Simulator *sim,
+                  uint64_t finish_cycle)
+        : Module(std::move(name)), sim_(sim), finishCycle_(finish_cycle)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (done_)
+            return;
+        noteProgress();
+        done_ = sim_->cycle() == finishCycle_;
+    }
+
+    bool done() const override { return done_; }
+
+  private:
+    const Simulator *sim_;
+    uint64_t finishCycle_;
+    bool done_ = false;
+};
+
+// Done once its input queue drains: done() flips at a queue commit.
+class DrainToDone final : public Module
+{
+  public:
+    DrainToDone(std::string name, HardwareQueue *in)
+        : Module(std::move(name)), in_(in)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (in_->canPop()) {
+            in_->pop();
+            countFlit();
+        }
+    }
+
+    bool done() const override { return in_->drained(); }
+
+  private:
+    HardwareQueue *in_;
+};
+
+// Waits for another module's done() the way an SPM reader waits for its
+// preload: one stall per blocked cycle, asleep on the done list. Records
+// the cycle in which it saw the module done.
+class DoneWaiter final : public Module
+{
+  public:
+    DoneWaiter(std::string name, const Simulator *sim, Module *target)
+        : Module(std::move(name)), sim_(sim), target_(target)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (started_)
+            return;
+        if (!target_->done()) {
+            countStall(stallWait_);
+            sleepOn(stallWait_, {&target_->doneWaiters()});
+            return;
+        }
+        started_ = true;
+        startCycle_ = sim_->cycle();
+        noteProgress();
+    }
+
+    bool done() const override { return started_; }
+    uint64_t startCycle() const { return startCycle_; }
+
+  private:
+    StatHandle stallWait_ = stallCounter("wait");
+    const Simulator *sim_;
+    Module *target_;
+    bool started_ = false;
+    uint64_t startCycle_ = 0;
+};
+
+/** What a done-wait run must reproduce exactly with sleep disabled. */
+struct DoneWaitRun {
+    uint64_t waiterStart = 0;
+    std::map<std::string, uint64_t> counters;
+    std::string trace;
+    uint64_t moduleTicks = 0;
+};
+
+/** Run, traced, a design whose target module `make_target` builds
+ *  (unadded), with a DoneWaiter added just before or just after it. */
+template <typename MakeTarget>
+DoneWaitRun
+runDoneWait(bool waiter_first, MakeTarget make_target)
+{
+    Simulator sim;
+    TraceSink trace;
+    sim.attachTrace(&trace, "done_wait");
+    std::unique_ptr<Module> target = make_target(sim);
+    Module *waited_on = target.get();
+    DoneWaiter *waiter = nullptr;
+    if (waiter_first)
+        waiter = sim.make<DoneWaiter>("waiter", &sim, waited_on);
+    sim.addModule(std::move(target));
+    if (!waiter_first)
+        waiter = sim.make<DoneWaiter>("waiter", &sim, waited_on);
+    sim.run();
+    trace.finish();
+    std::ostringstream json;
+    trace.writeJson(json);
+    return {waiter->startCycle(), sim.collectStats().counters(),
+            json.str(), sim.moduleTicks()};
+}
+
+/** Run with and without GENESIS_SIM_NO_SLEEP=1; the runs must agree on
+ *  the waiter's start cycle, every counter and every trace byte, while
+ *  the sleeping waiter ticks less. @return the sleeping run. */
+template <typename MakeTarget>
+DoneWaitRun
+expectDoneWaitExact(bool waiter_first, MakeTarget make_target)
+{
+    const DoneWaitRun slept = runDoneWait(waiter_first, make_target);
     ScopedEnv no_sleep("GENESIS_SIM_NO_SLEEP", "1");
-    EXPECT_EQ(base, run_once(nullptr));
+    const DoneWaitRun spun = runDoneWait(waiter_first, make_target);
+    EXPECT_EQ(slept.waiterStart, spun.waiterStart);
+    EXPECT_EQ(slept.counters, spun.counters);
+    EXPECT_EQ(slept.trace, spun.trace);
+    EXPECT_LT(slept.moduleTicks, spun.moduleTicks);
+    return slept;
+}
+
+std::unique_ptr<Module>
+finishAtCycle50(Simulator &sim)
+{
+    return std::make_unique<FinishAtCycle>("finisher", &sim, 50);
+}
+
+TEST(SleepWake, DoneWaiterAfterTheFinisherStartsInTheFlipCycle)
+{
+    // done() flips during the finisher's tick at cycle 50; a waiter that
+    // ticks after it reads the flip live in that cycle, so the done
+    // event admits it into cycle 50 and credits cycles 1..49.
+    const DoneWaitRun run = expectDoneWaitExact(false, finishAtCycle50);
+    EXPECT_EQ(run.waiterStart, 50u);
+    EXPECT_EQ(run.counters.at("waiter.stall.wait"), 50u);
+}
+
+TEST(SleepWake, DoneWaiterBeforeTheFinisherStartsInTheNextCycle)
+{
+    // A waiter that ticks before the finisher already ran cycle 50, so
+    // it sees the flip in cycle 51 and counts cycle 50 as a stall too.
+    const DoneWaitRun run = expectDoneWaitExact(true, finishAtCycle50);
+    EXPECT_EQ(run.waiterStart, 51u);
+    EXPECT_EQ(run.counters.at("waiter.stall.wait"), 51u);
+}
+
+TEST(SleepWake, DoneFlipAtQueueCommitStartsEveryWaiterInTheNextCycle)
+{
+    // The source pushes 40 flits in cycles 0..39 and closes in cycle 40;
+    // the drainer pops the last flit in cycle 40 too, and both commit at
+    // the end of it. done() flips at that commit, after every tick, so
+    // waiters on either side of the drainer start in cycle 41.
+    auto make_drainer = [](Simulator &sim) -> std::unique_ptr<Module> {
+        auto *in = sim.makeQueue("in");
+        std::vector<Flit> flits;
+        for (int i = 0; i < 40; ++i)
+            flits.push_back(makeFlit(i));
+        sim.make<test::VectorSource>("src", in, flits);
+        return std::make_unique<DrainToDone>("drainer", in);
+    };
+    for (bool waiter_first : {true, false}) {
+        SCOPED_TRACE(waiter_first ? "waiter first" : "drainer first");
+        const DoneWaitRun run =
+            expectDoneWaitExact(waiter_first, make_drainer);
+        EXPECT_EQ(run.waiterStart, 41u);
+        EXPECT_EQ(run.counters.at("waiter.stall.wait"), 41u);
+    }
 }
 
 TEST(SleepWake, ProvableDeadlockReportedImmediately)
@@ -808,7 +1065,9 @@ TEST(SleepWake, ProvableDeadlockReportedImmediately)
     Simulator sim;
     auto *in = sim.makeQueue("in"); // never fed, never closed
     auto *out = sim.makeQueue("out");
-    sim.make<modules::Filter>("filter", in, out, passAllFilter());
+    auto *filter =
+        sim.make<modules::Filter>("filter", in, out, passAllFilter());
+    sim.make<DoneWaiter>("waiter", &sim, filter);
     try {
         sim.run();
         FAIL() << "expected a deadlock panic";
@@ -819,6 +1078,8 @@ TEST(SleepWake, ProvableDeadlockReportedImmediately)
             << msg;
         EXPECT_NE(msg.find("ASLEEP"), std::string::npos) << msg;
         EXPECT_NE(msg.find("queue in"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("module filter done"), std::string::npos)
+            << msg;
     }
     setQuiet(false);
 }
