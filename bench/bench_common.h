@@ -114,44 +114,44 @@ timeIt(Fn &&fn)
         std::chrono::steady_clock::now() - start).count();
 }
 
-/** Measured software-vs-Genesis numbers for the three stages. */
-struct StageMeasurements {
-    /** Single-thread measured software time (this host). */
-    double swMarkDup = 0, swMetadata = 0, swBqsr = 0;
-    /** Genesis stage timing ledgers. */
-    runtime::TimingBreakdown mdTiming, muTiming, bqTiming;
-    core::AccelRunInfo mdInfo, muInfo, bqInfo;
-
-    /**
-     * Software time scaled to the paper's 8-core baseline assumption
-     * (the paper itself scales the single-threaded metadata baseline by
-     * 8, Section V footnote 4).
-     */
-    static double eightCore(double single) { return single / 8.0; }
+/** Single-thread software time of the three stages on this host. */
+struct SoftwareBaselines {
+    double markDup = 0, metadata = 0, bqsr = 0;
 };
 
-/** Run all three stages in software and on the accelerators. */
+/** Time the three GATK software baselines. */
+inline SoftwareBaselines
+measureSoftware(const BenchWorkload &workload)
+{
+    SoftwareBaselines sw;
+    // Fresh copies; timings exclude the copy.
+    {
+        auto reads = workload.reads;
+        sw.markDup = timeIt([&] { gatk::markDuplicates(reads); });
+    }
+    {
+        auto reads = workload.reads;
+        sw.metadata = timeIt(
+            [&] { gatk::setNmMdUqTags(reads, workload.genome); });
+    }
+    sw.bqsr = timeIt([&] {
+        gatk::buildCovariateTable(workload.reads, workload.genome);
+    });
+    return sw;
+}
+
+/** Genesis timing ledgers and run info for the three stages. */
+struct StageMeasurements {
+    runtime::TimingBreakdown mdTiming, muTiming, bqTiming;
+    core::AccelRunInfo mdInfo, muInfo, bqInfo;
+};
+
+/** Run the three stages on the accelerators. */
 inline StageMeasurements
 measureStages(const BenchWorkload &workload,
               const runtime::RuntimeConfig &rt = runtime::RuntimeConfig())
 {
     StageMeasurements m;
-
-    // Software baselines (fresh copies; timings exclude the copy).
-    {
-        auto reads = workload.reads;
-        m.swMarkDup = timeIt([&] { gatk::markDuplicates(reads); });
-    }
-    {
-        auto reads = workload.reads;
-        m.swMetadata = timeIt(
-            [&] { gatk::setNmMdUqTags(reads, workload.genome); });
-    }
-    {
-        m.swBqsr = timeIt([&] {
-            gatk::buildCovariateTable(workload.reads, workload.genome);
-        });
-    }
 
     // Genesis accelerators at the paper's pipeline counts.
     {

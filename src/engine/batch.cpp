@@ -150,6 +150,8 @@ Batch
 Batch::fromTable(const Table &t, size_t first, size_t count)
 {
     const RowWindow w = clampWindow(first, count, t.numRows());
+    const auto lo = static_cast<ptrdiff_t>(w.first);
+    const auto hi = static_cast<ptrdiff_t>(w.end);
     Batch b;
     b.schema = t.schema();
     b.rows = w.end - w.first;
@@ -158,12 +160,13 @@ Batch::fromTable(const Table &t, size_t first, size_t count)
         const table::Column &col = t.column(c);
         if (isIntColumn(col.type())) {
             ColumnChunk chunk = ColumnChunk::makeInt();
-            chunk.reserve(b.rows);
-            for (size_t r = w.first; r < w.end; ++r) {
-                if (col.isNull(r))
-                    chunk.pushNull();
-                else
-                    chunk.pushInt(col.scalarAt(r));
+            chunk.ints.assign(col.scalars().begin() + lo,
+                              col.scalars().begin() + hi);
+            const std::vector<bool> &nulls = col.nulls();
+            if (!nulls.empty() &&
+                std::find(nulls.begin() + lo, nulls.begin() + hi, true) !=
+                    nulls.begin() + hi) {
+                chunk.nulls.assign(nulls.begin() + lo, nulls.begin() + hi);
             }
             b.columns.push_back(std::move(chunk));
         } else {
@@ -191,16 +194,30 @@ Batch::emptyLike(const Batch &proto)
 }
 
 Table
-Batch::toTable(const std::string &name) const
+Batch::toTable(const std::string &name) const &
 {
-    Table out(name, schema);
-    std::vector<Value> row(columns.size());
-    for (size_t r = 0; r < rows; ++r) {
-        for (size_t c = 0; c < columns.size(); ++c)
-            row[c] = columns[c].valueAt(r);
-        out.appendRow(row);
+    return Batch(*this).toTable(name);
+}
+
+Table
+Batch::toTable(const std::string &name) &&
+{
+    std::vector<table::Column> cols;
+    cols.reserve(columns.size());
+    for (size_t c = 0; c < columns.size(); ++c) {
+        const table::FieldDef &f = schema.field(c);
+        ColumnChunk &chunk = columns[c];
+        if (chunk.intMode && isIntColumn(f.type)) {
+            cols.emplace_back(f.name, f.type, std::move(chunk.ints),
+                              std::move(chunk.nulls));
+            continue;
+        }
+        table::Column col(f.name, f.type);
+        for (size_t r = 0; r < rows; ++r)
+            col.append(chunk.intMode ? chunk.valueAt(r) : chunk.boxed[r]);
+        cols.push_back(std::move(col));
     }
-    return out;
+    return Table(name, schema, std::move(cols));
 }
 
 } // namespace genesis::engine

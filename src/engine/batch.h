@@ -95,8 +95,8 @@ struct Batch {
 
     /**
      * Copy rows [first, first + count) of a table, clamped to its rows,
-     * into chunks (int fast path for scalar columns). The defaults copy
-     * the whole table.
+     * into chunks (int fast path for scalar columns, which copy their
+     * storage range whole). The defaults copy the whole table.
      */
     static Batch
     fromTable(const table::Table &t, size_t first = 0,
@@ -105,8 +105,15 @@ struct Batch {
     /** Same schema and chunk modes as proto, zero rows. */
     static Batch emptyLike(const Batch &proto);
 
-    /** Materialize as a Table (the row engine's output format). */
-    table::Table toTable(const std::string &name) const;
+    /**
+     * Materialize as a Table (the row engine's output format). An int
+     * chunk under an integer field becomes its column whole; any other
+     * chunk appends cell by cell, so a cell that does not fit its field
+     * throws as Column::append() does.
+     */
+    table::Table toTable(const std::string &name) const &;
+    /** Same, moving the int chunks' storage into the table. */
+    table::Table toTable(const std::string &name) &&;
 };
 
 } // namespace genesis::engine

@@ -47,6 +47,16 @@ Catalog::findPartition(const std::string &name, int64_t pid) const
 }
 
 void
+Catalog::append(const std::string &name, const Table &rows)
+{
+    auto it = tables_.find(name);
+    if (it == tables_.end())
+        fatal("INSERT INTO unknown table '%s'", name.c_str());
+    it->second.appendRows(rows);
+    statsCache_.erase(name);
+}
+
+void
 Catalog::erase(const std::string &name)
 {
     tables_.erase(name);
@@ -130,46 +140,20 @@ Executor::storeTable(const std::string &name, bool is_temp, Table t,
     tempStatsCache_.erase(name);
     t.setName(name);
     if (append) {
-        // INSERT INTO an existing table appends rows; creates otherwise.
-        Table *existing = nullptr;
+        // INSERT INTO an existing table appends rows in place; creates
+        // otherwise.
         for (auto it = tempScopes_.rbegin(); it != tempScopes_.rend();
              ++it) {
             auto found = it->find(name);
-            if (found != it->end()) {
-                existing = &found->second;
-                break;
-            }
-        }
-        if (!existing && !is_temp) {
-            const Table *global = catalog_.find(name);
-            if (global) {
-                // Copy out, append, write back (catalog owns by value).
-                Table merged = *global;
-                for (size_t r = 0; r < t.numRows(); ++r) {
-                    std::vector<Value> row;
-                    for (size_t c = 0; c < t.numColumns(); ++c)
-                        row.push_back(t.at(r, c));
-                    merged.appendRow(row);
-                }
-                catalog_.put(name, std::move(merged));
-                return;
-            }
-        }
-        if (existing) {
-            if (existing->numColumns() != t.numColumns()) {
-                fatal("INSERT INTO %s: width %zu != existing width %zu",
-                      name.c_str(), t.numColumns(),
-                      existing->numColumns());
-            }
-            for (size_t r = 0; r < t.numRows(); ++r) {
-                std::vector<Value> row;
-                for (size_t c = 0; c < t.numColumns(); ++c)
-                    row.push_back(t.at(r, c));
-                existing->appendRow(row);
-            }
+            if (found == it->end())
+                continue;
+            found->second.appendRows(t);
             return;
         }
-        // Fall through: create new.
+        if (!is_temp && catalog_.find(name)) {
+            catalog_.append(name, t);
+            return;
+        }
     }
     if (is_temp) {
         if (tempScopes_.empty())
@@ -223,30 +207,8 @@ Executor::execStatement(const sql::Statement &stmt)
         env_.variables[stmt.target] = evalConstExpr(*stmt.value, env_);
         return std::nullopt;
       }
-      case StatementKind::ForLoop: {
-        const Table *source = lookupTable(stmt.loopTable);
-        if (!source)
-            fatal("FOR loop over unknown table '%s'",
-                  stmt.loopTable.c_str());
-        // The loop table may be replaced inside the body; iterate a copy.
-        Table snapshot = *source;
-        std::optional<Table> last;
-        for (size_t row = 0; row < snapshot.numRows(); ++row) {
-            tempScopes_.emplace_back();
-            env_.rowBindings[stmt.loopVar] = {&snapshot, row};
-            for (const auto &body_stmt : stmt.body) {
-                auto r = execStatement(*body_stmt);
-                if (r)
-                    last = std::move(r);
-            }
-            env_.rowBindings.erase(stmt.loopVar);
-            tempScopes_.pop_back();
-            // Names of the popped scope may shadow others; drop the
-            // whole temp-stats cache rather than track shadowing.
-            tempStatsCache_.clear();
-        }
-        return last;
-      }
+      case StatementKind::ForLoop:
+        return execForLoop(stmt);
       case StatementKind::Exec: {
         auto it = customOps_.find(stmt.moduleName);
         if (it == customOps_.end())
@@ -276,15 +238,96 @@ Executor::execStatement(const sql::Statement &stmt)
     panic("unhandled statement kind");
 }
 
+/**
+ * One execution of a FOR loop: its prepared plans, and the running
+ * iteration's temp scope and row binding. The destructor unwinds all of
+ * it however the loop ends, so a failing body leaves no binding to the
+ * destroyed loop snapshot and no temp table behind.
+ */
+class Executor::LoopState
+{
+  public:
+    LoopState(Executor &exec, const std::string &var)
+        : exec_(exec), var_(var), outerPlans_(exec.loopPlans_)
+    {
+        exec_.loopPlans_ = &plans_;
+    }
+
+    ~LoopState()
+    {
+        endRow();
+        exec_.loopPlans_ = outerPlans_;
+    }
+
+    LoopState(const LoopState &) = delete;
+    LoopState &operator=(const LoopState &) = delete;
+
+    void
+    beginRow(const Table &table, size_t row)
+    {
+        exec_.tempScopes_.emplace_back();
+        inRow_ = true;
+        exec_.env_.rowBindings[var_] = {&table, row};
+    }
+
+    void
+    endRow()
+    {
+        if (!inRow_)
+            return;
+        inRow_ = false;
+        exec_.env_.rowBindings.erase(var_);
+        exec_.tempScopes_.pop_back();
+        // Names of the popped scope may shadow others; drop the whole
+        // temp-stats cache rather than track shadowing.
+        exec_.tempStatsCache_.clear();
+    }
+
+  private:
+    Executor &exec_;
+    const std::string &var_;
+    PreparedPlans plans_;
+    PreparedPlans *outerPlans_;
+    bool inRow_ = false;
+};
+
+std::optional<Table>
+Executor::execForLoop(const sql::Statement &stmt)
+{
+    const Table *source = lookupTable(stmt.loopTable);
+    if (!source)
+        fatal("FOR loop over unknown table '%s'", stmt.loopTable.c_str());
+    // The loop table may be replaced inside the body; iterate a copy.
+    Table snapshot = *source;
+    std::optional<Table> last;
+    LoopState loop(*this, stmt.loopVar);
+    for (size_t row = 0; row < snapshot.numRows(); ++row) {
+        loop.beginRow(snapshot, row);
+        for (const auto &body_stmt : stmt.body) {
+            auto r = execStatement(*body_stmt);
+            if (r)
+                last = std::move(r);
+        }
+        loop.endRow();
+    }
+    return last;
+}
+
 Table
 Executor::runSelect(const sql::SelectStmt &select)
 {
-    sql::PlanPtr plan = sql::planSelect(select);
-    if (config_.optimize) {
-        sql::OptimizerOptions opts;
-        opts.ruleMask = config_.ruleMask;
-        opts.stats = statsProvider();
-        plan = sql::optimizePlan(std::move(plan), opts);
+    // Results never depend on the plan, so one prepared from the first
+    // row's stats is right for every row of the loop.
+    sql::PlanPtr prepared;
+    sql::PlanPtr &plan = loopPlans_ ? (*loopPlans_)[&select] : prepared;
+    if (!plan) {
+        plan = sql::planSelect(select);
+        if (config_.optimize) {
+            sql::OptimizerOptions opts;
+            opts.ruleMask = config_.ruleMask;
+            opts.stats = statsProvider();
+            plan = sql::optimizePlan(std::move(plan), opts);
+        }
     }
     return runPlan(*plan);
 }
@@ -317,9 +360,11 @@ Executor::runRowPlan(const PlanNode &plan)
       case PlanKind::Limit:
         return execLimitOn(plan, runRowPlan(*plan.children[0]));
       case PlanKind::PosExplode:
-        return execPosExplodeOn(plan, runRowPlan(*plan.children[0]));
+        return posExplode(plan, runRowPlan(*plan.children[0]))
+            .toTable("posexplode");
       case PlanKind::ReadExplode:
-        return execReadExplodeOn(plan, runRowPlan(*plan.children[0]));
+        return readExplode(plan, runRowPlan(*plan.children[0]))
+            .toTable("readexplode");
     }
     panic("unhandled plan kind");
 }
@@ -835,19 +880,21 @@ Executor::execLimitOn(const PlanNode &plan, const Table &input)
     return out;
 }
 
-Table
-Executor::execPosExplodeOn(const PlanNode &plan, const Table &input)
+Batch
+Executor::posExplode(const PlanNode &plan, const Table &input)
 {
     auto aliases = aliasesOf(*plan.children[0]);
     TableRowResolver resolver(input, aliases);
 
-    Schema schema;
-    schema.addField("POS", DataType::Int64);
+    Batch out;
+    out.schema.addField("POS", DataType::Int64);
     std::string value_name = plan.outputs[0].name;
     if (value_name == "POS")
         value_name = "VALUE";
-    schema.addField(value_name, DataType::Int64);
-    Table out("posexplode", schema);
+    out.schema.addField(value_name, DataType::Int64);
+    out.columns.assign(2, ColumnChunk::makeInt());
+    ColumnChunk &pos_col = out.columns[0];
+    ColumnChunk &value_col = out.columns[1];
 
     for (size_t r = 0; r < input.numRows(); ++r) {
         resolver.setRow(r);
@@ -856,35 +903,43 @@ Executor::execPosExplodeOn(const PlanNode &plan, const Table &input)
         if (array.isNull())
             continue;
         int64_t pos = init.isNull() ? 0 : init.asInt();
-        for (int64_t elem : array.asBlob())
-            out.appendRow({Value(pos++), Value(elem)});
+        for (int64_t elem : array.asBlob()) {
+            pos_col.pushInt(pos++);
+            value_col.pushInt(elem);
+        }
     }
+    out.rows = pos_col.size();
     return out;
 }
 
-Table
-Executor::execReadExplodeOn(const PlanNode &plan, const Table &input)
+Batch
+Executor::readExplode(const PlanNode &plan, const Table &input)
 {
     auto aliases = aliasesOf(*plan.children[0]);
     TableRowResolver resolver(input, aliases);
     bool has_qual = plan.outputs.size() >= 4;
 
-    Schema schema;
-    schema.addField("POS", DataType::Int64);
-    schema.addField("BP", DataType::Int64);
+    Batch out;
+    out.schema.addField("POS", DataType::Int64);
+    out.schema.addField("BP", DataType::Int64);
     if (has_qual)
-        schema.addField("QUAL", DataType::Int64);
-    schema.addField("CYCLE", DataType::Int64);
-    Table out("readexplode", schema);
+        out.schema.addField("QUAL", DataType::Int64);
+    out.schema.addField("CYCLE", DataType::Int64);
+    out.columns.assign(out.schema.size(), ColumnChunk::makeInt());
+    ColumnChunk &pos_col = out.columns[0];
+    ColumnChunk &bp_col = out.columns[1];
+    ColumnChunk &cycle_col = out.columns.back();
 
     for (size_t r = 0; r < input.numRows(); ++r) {
         resolver.setRow(r);
         int64_t pos =
             evalExpr(*plan.outputs[0].expr, &resolver, env_).asInt();
-        const auto cigar_blob =
-            evalExpr(*plan.outputs[1].expr, &resolver, env_).asBlob();
-        const auto seq_blob =
-            evalExpr(*plan.outputs[2].expr, &resolver, env_).asBlob();
+        const Value cigar_cell =
+            evalExpr(*plan.outputs[1].expr, &resolver, env_);
+        const Value seq_cell =
+            evalExpr(*plan.outputs[2].expr, &resolver, env_);
+        const table::Blob &cigar_blob = cigar_cell.asBlob();
+        const table::Blob &seq_blob = seq_cell.asBlob();
         table::Blob qual_blob;
         if (has_qual) {
             qual_blob =
@@ -897,19 +952,26 @@ Executor::execReadExplodeOn(const PlanNode &plan, const Table &input)
         genome::QualSequence qual(qual_blob.begin(), qual_blob.end());
 
         for (const auto &b : genome::explodeRead(pos, cigar, seq, qual)) {
-            std::vector<Value> row;
-            row.push_back(b.isInsertion() ? Value() : Value(b.refPos));
-            row.push_back(b.isDeletion() ? Value()
-                          : Value(static_cast<int64_t>(b.readBase)));
-            if (has_qual) {
-                row.push_back(b.isDeletion() || b.qual < 0 ? Value()
-                              : Value(static_cast<int64_t>(b.qual)));
+            if (b.isInsertion())
+                pos_col.pushNull();
+            else
+                pos_col.pushInt(b.refPos);
+            if (b.isDeletion()) {
+                bp_col.pushNull();
+                cycle_col.pushNull();
+            } else {
+                bp_col.pushInt(b.readBase);
+                cycle_col.pushInt(b.readOffset);
             }
-            row.push_back(b.isDeletion() ? Value()
-                          : Value(static_cast<int64_t>(b.readOffset)));
-            out.appendRow(row);
+            if (!has_qual)
+                continue;
+            if (b.isDeletion() || b.qual < 0)
+                out.columns[2].pushNull();
+            else
+                out.columns[2].pushInt(b.qual);
         }
     }
+    out.rows = pos_col.size();
     return out;
 }
 

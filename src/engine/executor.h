@@ -43,6 +43,13 @@ class Catalog
     const table::Table *findPartition(const std::string &name,
                                       int64_t pid) const;
 
+    /**
+     * Append rows to a registered table in place (INSERT INTO) and drop
+     * its cached stats. Throws FatalError when the table is absent or
+     * the rows do not fit it (Table::appendRows()).
+     */
+    void append(const std::string &name, const table::Table &rows);
+
     /** Remove a table (no-op when absent). */
     void erase(const std::string &name);
 
@@ -102,7 +109,11 @@ class Executor
     /** Parse and run SQL text. */
     std::optional<table::Table> run(const std::string &sql_text);
 
-    /** Plan and run one select statement. */
+    /**
+     * Plan and run one select statement. In a FOR body the plan is
+     * prepared at the statement's first run in the loop, with that
+     * iteration's stats, and reused for every later row.
+     */
     table::Table runSelect(const sql::SelectStmt &select);
 
     /** Run a logical plan directly. */
@@ -126,8 +137,14 @@ class Executor
   private:
     friend class VecExecutor;
 
+    class LoopState;
+    /** Plans prepared for a FOR body's SELECTs, keyed by statement. */
+    using PreparedPlans = std::map<const sql::SelectStmt *, sql::PlanPtr>;
+
     std::optional<table::Table>
     execStatement(const sql::Statement &stmt);
+
+    std::optional<table::Table> execForLoop(const sql::Statement &stmt);
 
     /** Interpret a plan row-at-a-time (no vectorized dispatch). */
     table::Table runRowPlan(const sql::PlanNode &plan);
@@ -144,10 +161,13 @@ class Executor
                                  const table::Table &input);
     table::Table execLimitOn(const sql::PlanNode &plan,
                              const table::Table &input);
-    table::Table execPosExplodeOn(const sql::PlanNode &plan,
-                                  const table::Table &input);
-    table::Table execReadExplodeOn(const sql::PlanNode &plan,
-                                   const table::Table &input);
+
+    /**
+     * The explodes, shared by both engines: each output column fills
+     * one int chunk. The row engine materializes the batch.
+     */
+    Batch posExplode(const sql::PlanNode &plan, const table::Table &input);
+    Batch readExplode(const sql::PlanNode &plan, const table::Table &input);
 
     /**
      * Rows a LIMIT node keeps of a `rows`-row input: its offset and
@@ -212,6 +232,12 @@ class Executor
     std::vector<std::map<std::string, table::Table>> tempScopes_;
     /** Lazily computed stats for temp tables (see statsProvider()). */
     std::map<std::string, table::TableStats> tempStatsCache_;
+    /**
+     * Plans of the innermost running FOR loop's body SELECTs, each
+     * prepared at its first run in this execution of the loop and owned
+     * by its LoopState; null outside loops.
+     */
+    PreparedPlans *loopPlans_ = nullptr;
     std::map<std::string, CustomOp> customOps_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "base/logging.h"
 #include "engine/executor.h"
@@ -101,8 +103,7 @@ VecExecutor::run(const PlanNode &plan)
     // A bare scan keeps the source table's name, like the row path.
     if (plan.kind == PlanKind::Scan)
         return exec_.execScan(plan);
-    Batch b = evalPlan(plan);
-    return b.toTable(resultName(plan.kind));
+    return evalPlan(plan).toTable(resultName(plan.kind));
 }
 
 Batch
@@ -121,14 +122,23 @@ VecExecutor::evalPlan(const PlanNode &plan)
         return evalAggregate(plan);
       case PlanKind::Limit:
         return evalLimit(plan);
-      case PlanKind::PosExplode: {
-        // No vectorized form: run the row operator over the batch.
-        Table in = evalPlan(*plan.children[0]).toTable("input");
-        return Batch::fromTable(exec_.execPosExplodeOn(plan, in));
-      }
+      case PlanKind::PosExplode:
       case PlanKind::ReadExplode: {
-        Table in = evalPlan(*plan.children[0]).toTable("input");
-        return Batch::fromTable(exec_.execReadExplodeOn(plan, in));
+        // Both engines share one explode over a table: a stored one is
+        // read in place, anything else is materialized first.
+        const PlanNode &child = *plan.children[0];
+        const Table *in =
+            child.kind == PlanKind::Scan ? storedTable(child) : nullptr;
+        std::optional<Table> owned;
+        if (!in) {
+            owned = child.kind == PlanKind::Scan
+                ? exec_.execScan(child)
+                : evalPlan(child).toTable("input");
+            in = &*owned;
+        }
+        return plan.kind == PlanKind::PosExplode
+            ? exec_.posExplode(plan, *in)
+            : exec_.readExplode(plan, *in);
       }
     }
     panic("unhandled plan kind");
@@ -399,31 +409,55 @@ VecExecutor::evalJoin(const PlanNode &plan)
             right_matched[static_cast<size_t>(r)] = true;
     };
 
+    // matches_of(l) is left row l's right rows, ascending; empty when
+    // none match.
     auto probe_all = [&](auto &&matches_of) {
         for (size_t l = 0; l < left.rows; ++l) {
-            const std::vector<size_t> *matches =
-                lkeys.nullAt(l) ? nullptr : matches_of(l);
-            if (matches) {
-                for (size_t r : *matches) {
-                    emit(static_cast<ssize_t>(l),
-                         static_cast<ssize_t>(r));
-                }
-            }
-            if (!matches && plan.joinType != sql::JoinType::Inner)
+            std::span<const size_t> matches;
+            if (!lkeys.nullAt(l))
+                matches = matches_of(l);
+            for (size_t r : matches)
+                emit(static_cast<ssize_t>(l), static_cast<ssize_t>(r));
+            if (matches.empty() && plan.joinType != sql::JoinType::Inner)
                 emit(static_cast<ssize_t>(l), -1);
         }
     };
 
     if (lkeys.intMode && rkeys.intMode) {
-        std::unordered_map<int64_t, std::vector<size_t>> index;
-        index.reserve(right.rows);
+        // Key -> group, then every group's right rows in one array in
+        // right-row order (a counting sort), group g at [start[g],
+        // start[g + 1]).
+        std::unordered_map<int64_t, size_t> group_of;
+        group_of.reserve(right.rows);
+        std::vector<size_t> group(right.rows);
+        std::vector<size_t> start;
+        for (size_t r = 0; r < right.rows; ++r) {
+            if (rkeys.nullAt(r))
+                continue;
+            auto [it, inserted] =
+                group_of.try_emplace(rkeys.ints[r], start.size());
+            if (inserted)
+                start.push_back(0);
+            group[r] = it->second;
+            ++start[it->second];
+        }
+        size_t total = 0;
+        for (size_t &s : start)
+            total += std::exchange(s, total);
+        start.push_back(total);
+        std::vector<size_t> rows(total);
+        std::vector<size_t> fill(start.begin(), start.end() - 1);
         for (size_t r = 0; r < right.rows; ++r) {
             if (!rkeys.nullAt(r))
-                index[rkeys.ints[r]].push_back(r);
+                rows[fill[group[r]]++] = r;
         }
-        probe_all([&](size_t l) -> const std::vector<size_t> * {
-            auto it = index.find(lkeys.ints[l]);
-            return it == index.end() ? nullptr : &it->second;
+        probe_all([&](size_t l) -> std::span<const size_t> {
+            auto it = group_of.find(lkeys.ints[l]);
+            if (it == group_of.end())
+                return {};
+            return std::span<const size_t>(rows).subspan(
+                start[it->second],
+                start[it->second + 1] - start[it->second]);
         });
     } else {
         std::map<Value, std::vector<size_t>> index;
@@ -431,9 +465,11 @@ VecExecutor::evalJoin(const PlanNode &plan)
             if (!rkeys.nullAt(r))
                 index[rkeys.valueAt(r)].push_back(r);
         }
-        probe_all([&](size_t l) -> const std::vector<size_t> * {
+        probe_all([&](size_t l) -> std::span<const size_t> {
             auto it = index.find(lkeys.valueAt(l));
-            return it == index.end() ? nullptr : &it->second;
+            if (it == index.end())
+                return {};
+            return it->second;
         });
     }
     if (plan.joinType == sql::JoinType::Outer) {
@@ -471,12 +507,14 @@ VecExecutor::evalAggregate(const PlanNode &plan)
     Batch in = evalPlan(*plan.children[0]);
     auto aliases = Executor::aliasesOf(*plan.children[0]);
 
-    // The fast path streams integer group keys and integer aggregates;
-    // anything else (string keys, expression keys, mixed aggregate
-    // arithmetic) falls back to the row aggregate over the batch.
+    // The fast path streams integer group keys and aggregates over
+    // integer expressions; anything else (string keys, expression keys,
+    // mixed aggregate arithmetic) falls back to the row aggregate over
+    // the batch.
     struct OutSpec {
         enum Kind { First, CountStar, Count, Sum, Min, Max } kind;
-        int col = -1; // input column (First / Count / Sum / Min / Max)
+        int col = -1;                     // First: the input column
+        const ColumnChunk *arg = nullptr; // Count / Sum / Min / Max
     };
 
     auto resolveIntCol = [&](const sql::Expr &e, bool require_int) {
@@ -491,6 +529,29 @@ VecExecutor::evalAggregate(const PlanNode &plan)
         if (require_int && !in.columns[static_cast<size_t>(idx)].intMode)
             return -1;
         return idx;
+    };
+
+    // An aggregate's argument cells: a bare int column in place, any
+    // other expression evaluated over every row here, never into the
+    // fallback's input. Evaluation can fail (overflow, a zero divisor);
+    // the row aggregate then raises the error it meets first.
+    std::vector<ColumnChunk> computed;
+    computed.reserve(plan.outputs.size());
+    auto intArg = [&](const sql::Expr &e) -> const ColumnChunk * {
+        int idx = resolveIntCol(e, /*require_int=*/true);
+        if (idx >= 0)
+            return &in.columns[static_cast<size_t>(idx)];
+        if (in.rows == 0) // no row to evaluate: nothing can differ
+            return &computed.emplace_back(ColumnChunk::makeInt());
+        ColumnChunk chunk;
+        try {
+            chunk = evalExprFull(e, in, aliases);
+        } catch (const FatalError &) {
+            return nullptr;
+        }
+        if (!chunk.intMode)
+            return nullptr;
+        return &computed.emplace_back(std::move(chunk));
     };
 
     bool fast = true;
@@ -515,13 +576,13 @@ VecExecutor::evalAggregate(const PlanNode &plan)
                     fast = false;
                     break;
                 }
-                specs.push_back({OutSpec::First, idx});
+                specs.push_back({OutSpec::First, idx, nullptr});
                 continue;
             }
             if (e.kind == sql::ExprKind::Call) {
                 if (e.name == "COUNT" && e.args.size() == 1 &&
                     e.args[0]->kind == sql::ExprKind::Star) {
-                    specs.push_back({OutSpec::CountStar, -1});
+                    specs.push_back({OutSpec::CountStar, -1, nullptr});
                     continue;
                 }
                 OutSpec::Kind kind;
@@ -541,12 +602,12 @@ VecExecutor::evalAggregate(const PlanNode &plan)
                     fast = false;
                     break;
                 }
-                int idx = resolveIntCol(*e.args[0], /*require_int=*/true);
-                if (idx < 0) {
+                const ColumnChunk *arg = intArg(*e.args[0]);
+                if (!arg) {
                     fast = false;
                     break;
                 }
-                specs.push_back({kind, idx});
+                specs.push_back({kind, -1, arg});
                 continue;
             }
             fast = false;
@@ -554,7 +615,7 @@ VecExecutor::evalAggregate(const PlanNode &plan)
         }
     }
     if (!fast) {
-        Table t = in.toTable("input");
+        Table t = std::move(in).toTable("input");
         return Batch::fromTable(exec_.execAggregateOn(plan, t));
     }
 
@@ -596,8 +657,7 @@ VecExecutor::evalAggregate(const PlanNode &plan)
                 spec.kind == OutSpec::CountStar) {
                 continue;
             }
-            const ColumnChunk &c =
-                in.columns[static_cast<size_t>(spec.col)];
+            const ColumnChunk &c = *spec.arg;
             if (c.nullAt(r))
                 continue;
             int64_t x = c.ints[r];

@@ -6,9 +6,10 @@
  * moves kBatchRows-row column chunks between operators instead of one
  * boxed row at a time. Integer expressions run over flat int64 vectors;
  * anything the fast path cannot express (strings, blobs, scalar calls)
- * falls back to per-row evalExpr over the batch, and whole operators
- * without a vectorized form (explodes) fall back to the row operators —
- * so every plan produces bit-identical rows to Executor::runRowPlan().
+ * falls back to per-row evalExpr over the batch, aggregates the fast
+ * path cannot stream fall back to the row aggregate, and the explodes
+ * share one implementation with the row engine — so every plan produces
+ * bit-identical rows to Executor::runRowPlan().
  */
 
 #ifndef GENESIS_ENGINE_VEC_EXECUTOR_H

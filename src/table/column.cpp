@@ -1,5 +1,7 @@
 #include "table/column.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 
 namespace genesis::table {
@@ -57,6 +59,21 @@ Column::Column(std::string name, DataType type)
         offsets_.push_back(0);
 }
 
+Column::Column(std::string name, DataType type, std::vector<int64_t> values,
+               std::vector<bool> nulls)
+    : name_(std::move(name)), type_(type), numRows_(values.size()),
+      scalars_(std::move(values)), nulls_(std::move(nulls))
+{
+    GENESIS_ASSERT(!isArrayType(type_) && type_ != DataType::String,
+                   "scalar cells for %s column '%s'", dataTypeName(type_),
+                   name_.c_str());
+    GENESIS_ASSERT(nulls_.empty() || nulls_.size() == numRows_,
+                   "null mask of %zu rows for %zu values in column '%s'",
+                   nulls_.size(), numRows_, name_.c_str());
+    if (std::find(nulls_.begin(), nulls_.end(), true) == nulls_.end())
+        nulls_.clear();
+}
+
 void
 Column::append(const Value &v)
 {
@@ -112,6 +129,57 @@ Column::appendArray(const Blob &elems)
     ++numRows_;
     if (!nulls_.empty())
         nulls_.push_back(false);
+}
+
+namespace {
+
+/** Storage kinds; append() takes a cell of the same kind as it is. */
+enum class Storage { Scalar, String, Array };
+
+Storage
+storageOf(DataType t)
+{
+    if (t == DataType::String)
+        return Storage::String;
+    return isArrayType(t) ? Storage::Array : Storage::Scalar;
+}
+
+} // namespace
+
+bool
+Column::sameStorage(const Column &src) const
+{
+    return storageOf(type_) == storageOf(src.type_);
+}
+
+void
+Column::appendColumn(const Column &src)
+{
+    if (!sameStorage(src)) {
+        for (size_t r = 0; r < src.numRows_; ++r)
+            append(src.value(r));
+        return;
+    }
+    if (!src.nulls_.empty() && nulls_.empty())
+        nulls_.assign(numRows_, false);
+    if (!nulls_.empty()) {
+        if (src.nulls_.empty())
+            nulls_.insert(nulls_.end(), src.numRows_, false);
+        else
+            nulls_.insert(nulls_.end(), src.nulls_.begin(),
+                          src.nulls_.end());
+    }
+    if (storageOf(type_) == Storage::String) {
+        strings_.insert(strings_.end(), src.strings_.begin(),
+                        src.strings_.end());
+    } else if (storageOf(type_) == Storage::Array) {
+        const uint64_t base = scalars_.size();
+        for (size_t r = 1; r < src.offsets_.size(); ++r)
+            offsets_.push_back(base + src.offsets_[r]);
+    }
+    scalars_.insert(scalars_.end(), src.scalars_.begin(),
+                    src.scalars_.end());
+    numRows_ += src.numRows_;
 }
 
 void

@@ -49,6 +49,13 @@ class Column
     Column() = default;
     Column(std::string name, DataType type);
 
+    /**
+     * A scalar column over ready-made cells. `nulls` is empty or holds
+     * one flag per value; a mask without a NULL is dropped.
+     */
+    Column(std::string name, DataType type, std::vector<int64_t> values,
+           std::vector<bool> nulls);
+
     const std::string &name() const { return name_; }
     DataType type() const { return type_; }
     size_t size() const { return numRows_; }
@@ -61,6 +68,22 @@ class Column
 
     /** Fast-path append for array columns. */
     void appendArray(const Blob &elems);
+
+    /**
+     * Append every row of src. Storage of the same kind (scalar,
+     * string or array) is copied whole; otherwise each cell goes
+     * through append(), which throws on a cell that does not fit.
+     */
+    void appendColumn(const Column &src);
+
+    /** @return true when append() takes src's cells as they are. */
+    bool sameStorage(const Column &src) const;
+
+    /** Scalar cells (the element pool of an array column). */
+    const std::vector<int64_t> &scalars() const { return scalars_; }
+
+    /** Per-row NULL flags; empty when no cell is NULL. */
+    const std::vector<bool> &nulls() const { return nulls_; }
 
     /** @return cell as a Value (arrays copy into a Blob). */
     Value value(size_t row) const;

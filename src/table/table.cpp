@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "base/logging.h"
@@ -13,6 +14,46 @@ Table::Table(std::string name, Schema schema)
     columns_.reserve(schema_.size());
     for (const auto &f : schema_.fields())
         columns_.emplace_back(f.name, f.type);
+}
+
+Table::Table(std::string name, Schema schema, std::vector<Column> columns)
+    : name_(std::move(name)), schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      numRows_(columns_.empty() ? 0 : columns_[0].size())
+{
+    GENESIS_ASSERT(columns_.size() == schema_.size(),
+                   "%zu columns for the %zu fields of table '%s'",
+                   columns_.size(), schema_.size(), name_.c_str());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+        const FieldDef &f = schema_.field(c);
+        GENESIS_ASSERT(columns_[c].name() == f.name &&
+                           columns_[c].type() == f.type &&
+                           columns_[c].size() == numRows_,
+                       "column %zu of table '%s' does not match its field",
+                       c, name_.c_str());
+    }
+}
+
+void
+Table::appendRows(const Table &rows)
+{
+    if (rows.numColumns() != columns_.size()) {
+        fatal("row width %zu does not match table '%s' schema width %zu",
+              rows.numColumns(), name_.c_str(), columns_.size());
+    }
+    // Cells of another storage kind convert first, so that a cell that
+    // does not fit throws while this table is still whole.
+    std::vector<std::optional<Column>> converted(columns_.size());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+        if (columns_[c].sameStorage(rows.column(c)))
+            continue;
+        converted[c].emplace(columns_[c].name(), columns_[c].type());
+        converted[c]->appendColumn(rows.column(c));
+    }
+    for (size_t c = 0; c < columns_.size(); ++c)
+        columns_[c].appendColumn(converted[c] ? *converted[c]
+                                              : rows.column(c));
+    numRows_ += rows.numRows();
 }
 
 void

@@ -25,6 +25,12 @@ class Table
     Table() = default;
     Table(std::string name, Schema schema);
 
+    /**
+     * A table over ready-made columns: one per schema field, in order,
+     * with that field's name and type, all of the same length.
+     */
+    Table(std::string name, Schema schema, std::vector<Column> columns);
+
     const std::string &name() const { return name_; }
     void setName(std::string name) { name_ = std::move(name); }
     const Schema &schema() const { return schema_; }
@@ -33,6 +39,13 @@ class Table
 
     /** Append a full row; cell count must equal the schema width. */
     void appendRow(const std::vector<Value> &cells);
+
+    /**
+     * Append every row of `rows`, column by column. Its width must equal
+     * this table's. A cell that does not fit its column throws before
+     * any column grows.
+     */
+    void appendRows(const Table &rows);
 
     /** @return cell (row, column index). */
     Value at(size_t row, size_t col) const;

@@ -222,6 +222,140 @@ TEST_F(EngineEdge, InsertWidthMismatchFatal)
                  FatalError);
 }
 
+TEST_F(EngineEdge, InsertIntoCatalogTableAppendsInPlace)
+{
+    engine::Executor executor(catalog_);
+    executor.run("CREATE TABLE out AS SELECT A FROM five");
+    ASSERT_EQ(catalog_.stats("out")->rowCount, 5);
+    executor.run("INSERT INTO out SELECT A FROM five WHERE A > 2");
+    // The cached stats were dropped with the append.
+    EXPECT_EQ(catalog_.stats("out")->rowCount, 7);
+    const Table *out = catalog_.find("out");
+    ASSERT_EQ(out->numRows(), 7u);
+    EXPECT_EQ(out->at(6, 0).asInt(), 4);
+
+    // A row that does not fit raises before the table grows.
+    executor.run("CREATE TABLE strs AS SELECT S FROM t");
+    EXPECT_THROW(executor.run("INSERT INTO strs SELECT A FROM five"),
+                 FatalError);
+    const Table *strs = catalog_.find("strs");
+    ASSERT_EQ(strs->numRows(), 2u);
+    EXPECT_EQ(strs->column(0).size(), 2u);
+    EXPECT_EQ(catalog_.stats("strs")->rowCount, 2);
+}
+
+TEST_F(EngineEdge, FailedLoopLeavesNoLoopState)
+{
+    // A failing body must not leave its iteration behind: the loop row
+    // was bound to the loop's own snapshot, which is gone, and the
+    // body's temp table belongs to the iteration.
+    for (bool vectorize : {false, true}) {
+        engine::ExecConfig cfg;
+        cfg.vectorize = vectorize;
+        engine::Executor executor(catalog_, cfg);
+        EXPECT_THROW(executor.run(R"(
+            FOR Row IN five:
+                CREATE TABLE #tmp AS SELECT A FROM five;
+                INSERT INTO o SELECT * FROM nosuch;
+            END LOOP
+        )"),
+                     FatalError);
+        // A temp table's name is reported without its '#'.
+        for (const std::string name : {"Row", "#tmp"}) {
+            try {
+                executor.run("SELECT * FROM " + name);
+                ADD_FAILURE() << name << " outlived the failed loop";
+            } catch (const FatalError &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "fatal: unknown table '" +
+                              name.substr(name[0] == '#') + "'");
+            }
+        }
+        // The same executor runs the next loop from a clean state.
+        executor.run(R"(
+            FOR Row IN five:
+                INSERT INTO o SELECT Row.A AS A FROM five LIMIT 1;
+            END LOOP
+        )");
+        ASSERT_NE(catalog_.find("o"), nullptr);
+        EXPECT_EQ(catalog_.find("o")->numRows(), 5u);
+        catalog_.erase("o");
+    }
+}
+
+TEST_F(EngineEdge, IntExpressionAggregatesMatchTheRowEngine)
+{
+    // K groups rows (one NULL key); X and Y hold NULLs, so the argument
+    // expressions see NULL operands.
+    Table n("n", Schema{{"K", DataType::Int64},
+                        {"X", DataType::Int64},
+                        {"Y", DataType::Int64}});
+    const std::optional<int64_t> cells[][3] = {
+        {1, 5, 5},  {2, 3, 4},  {1, {}, 2}, {{}, 7, 7},
+        {2, 6, {}}, {1, -2, -2}, {2, 9, 9}, {1, 4, 1},
+    };
+    for (const auto &row : cells) {
+        std::vector<Value> vals;
+        for (const auto &c : row) {
+            if (c)
+                vals.emplace_back(*c);
+            else
+                vals.emplace_back();
+        }
+        n.appendRow(vals);
+    }
+    catalog_.put("n", std::move(n));
+
+    auto both = [&](const std::string &sql) {
+        auto row = runWith(false, sql);
+        auto vec = runWith(true, sql);
+        EXPECT_TRUE(row && vec) << sql;
+        if (row && vec) {
+            EXPECT_TRUE(row->contentEquals(*vec))
+                << sql << "\n" << row->str() << vec->str();
+        }
+        return vec;
+    };
+    const std::string aggs =
+        "SUM(X == Y), COUNT(X == Y), MIN(X - Y), MAX(X + Y), COUNT(*)";
+    auto global = both("SELECT " + aggs + " FROM n");
+    ASSERT_TRUE(global);
+    EXPECT_EQ(global->at(0, 0).asInt(), 4); // 5=5, 7=7, -2=-2, 9=9
+    EXPECT_EQ(global->at(0, 1).asInt(), 6); // NULL operands skipped
+    EXPECT_EQ(global->at(0, 2).asInt(), -1);
+    EXPECT_EQ(global->at(0, 3).asInt(), 18);
+    EXPECT_EQ(global->at(0, 4).asInt(), 8);
+    auto grouped = both("SELECT K, " + aggs + " FROM n GROUP BY K");
+    ASSERT_TRUE(grouped);
+    EXPECT_EQ(grouped->numRows(), 3u);
+    // Zero input rows: one global row (SUM 0, MIN/MAX NULL), no groups.
+    auto none = both("SELECT " + aggs + " FROM n WHERE X > 100");
+    ASSERT_TRUE(none);
+    EXPECT_EQ(none->at(0, 0).asInt(), 0);
+    EXPECT_TRUE(none->at(0, 2).isNull());
+    auto no_groups =
+        both("SELECT K, " + aggs + " FROM n WHERE X > 100 GROUP BY K");
+    ASSERT_TRUE(no_groups);
+    EXPECT_EQ(no_groups->numRows(), 0u);
+
+    // A SUM that overflows part-way fails although the last row brings
+    // it back into range, and the first error in the row engine's
+    // order wins: here the first SUM's '+' before the second SUM's '*'.
+    Table pw("pw", Schema{{"V", DataType::Int64}});
+    for (int64_t v : {std::numeric_limits<int64_t>::max(), int64_t{1},
+                      int64_t{-5}})
+        pw.appendRow({Value(v)});
+    catalog_.put("pw", std::move(pw));
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V + 0) FROM pw"),
+              "fatal: integer overflow in '+'");
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V == V) + SUM(V) FROM pw"),
+              "fatal: integer overflow in '+'");
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V - 0), SUM(V * 2) FROM pw"),
+              "fatal: integer overflow in '+'");
+    EXPECT_EQ(fatalInBothEngines("SELECT SUM(V * 2), SUM(V - 0) FROM pw"),
+              "fatal: integer overflow in '*'");
+}
+
 TEST_F(EngineEdge, NegativeLimitFatal)
 {
     engine::Executor executor(catalog_);

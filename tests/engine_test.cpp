@@ -242,6 +242,26 @@ TEST_F(EngineTest, TempTablesScopedPerIteration)
     EXPECT_EQ(catalog_.find("tmp"), nullptr);
 }
 
+TEST_F(EngineTest, EmptyLoopNeverPlansItsBody)
+{
+    // Body plans are prepared at a statement's first run, so a loop over
+    // no rows fails on none of them: not on an unknown table, and not on
+    // a SELECT that cannot be planned.
+    for (bool vectorize : {false, true}) {
+        ExecConfig cfg;
+        cfg.vectorize = vectorize;
+        Executor executor(catalog_, cfg);
+        executor.run("CREATE TABLE none AS SELECT * FROM t WHERE A > 9");
+        EXPECT_NO_THROW(executor.run(R"(
+            FOR Row IN none:
+                INSERT INTO out SELECT * FROM nosuch;
+                INSERT INTO out SELECT 1;
+            END LOOP
+        )"));
+        EXPECT_EQ(catalog_.find("out"), nullptr);
+    }
+}
+
 TEST_F(EngineTest, LoopVariableAsScanSource)
 {
     Executor executor(catalog_);
@@ -381,6 +401,81 @@ TEST(Batch, WindowedFromTableMatchesFullConversionPlusGather)
             }
         }
     }
+}
+
+TEST(Batch, TableRoundTripKeepsTypesNullsAndWindows)
+{
+    // Integer columns with no, some and only NULL cells, and boxed
+    // string and array columns.
+    Table t("rt", Schema{{"U8", DataType::UInt8},
+                         {"U32", DataType::UInt32},
+                         {"I64", DataType::Int64},
+                         {"B", DataType::Bool},
+                         {"S", DataType::String},
+                         {"SEQ", DataType::Array8},
+                         {"CIG", DataType::Array16}});
+    const size_t n = 5;
+    for (size_t i = 0; i < n; ++i) {
+        const auto v = static_cast<int64_t>(i);
+        t.appendRow({Value(v + 1), i % 2 ? Value() : Value(v * 1000),
+                     Value(), Value(i % 2 == 0),
+                     i == 3 ? Value() : Value(std::string(i, 's')),
+                     Value(table::Blob(i, v)),
+                     Value(table::Blob{v, 2 * v})});
+    }
+    auto rows_of = [&](size_t first, size_t end) {
+        Table want("rt", t.schema());
+        for (size_t r = first; r < end; ++r) {
+            std::vector<Value> row;
+            for (size_t c = 0; c < t.numColumns(); ++c)
+                row.push_back(t.at(r, c));
+            want.appendRow(row);
+        }
+        return want;
+    };
+    auto expect_same = [](const Table &got, const Table &want) {
+        EXPECT_EQ(got.schema(), want.schema());
+        EXPECT_TRUE(got.contentEquals(want)) << got.str() << want.str();
+        for (size_t c = 0; c < want.numColumns(); ++c) {
+            EXPECT_EQ(got.column(c).nulls(), want.column(c).nulls())
+                << want.schema().field(c).name;
+        }
+    };
+
+    const Batch full = Batch::fromTable(t);
+    expect_same(full.toTable("rt"), t);           // copies the chunks
+    expect_same(Batch(full).toTable("rt"), t);    // moves them
+    EXPECT_TRUE(t.column("U8").nulls().empty());
+    EXPECT_EQ(t.column("I64").nulls(), std::vector<bool>(n, true));
+    for (size_t first : {size_t{0}, size_t{1}, size_t{2}, n}) {
+        for (size_t count : {size_t{0}, size_t{1}, size_t{2}, n}) {
+            SCOPED_TRACE("first " + std::to_string(first) + " count " +
+                         std::to_string(count));
+            const size_t end = std::min(n, first + count);
+            // A window without a NULL keeps no null mask.
+            expect_same(Batch::fromTable(t, first, count).toTable("rt"),
+                        rows_of(first, end));
+        }
+    }
+}
+
+TEST(Batch, ToTableAppendsCellsThatDoNotFitTheirField)
+{
+    // An int chunk under a string field goes cell by cell, so the cell
+    // that does not fit raises Column::append()'s error.
+    Batch b;
+    b.schema.addField("S", DataType::String);
+    b.columns.push_back(ColumnChunk::makeInt());
+    b.columns[0].pushNull();
+    b.columns[0].pushInt(7);
+    b.rows = 2;
+    EXPECT_THROW(b.toTable("bad"), FatalError);
+    b.columns[0].ints.pop_back();
+    b.columns[0].nulls.pop_back();
+    b.rows = 1;
+    const Table one = b.toTable("ok");
+    ASSERT_EQ(one.numRows(), 1u);
+    EXPECT_TRUE(one.at(0, 0).isNull());
 }
 
 // --- End-to-end: the Figure-4 query vs software ground truth -------------

@@ -20,6 +20,7 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "engine/executor.h"
+#include "genome/cigar.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
@@ -168,10 +169,61 @@ class QueryGen
             ";\nEND LOOP;\nSELECT * FROM outt";
     }
 
+    /**
+     * A Figure-4-shaped FOR body. Its per-row temp table changes size
+     * from row to row: a ReadExplode of the loop row (aln reads hold 1
+     * to 10 bases) or a LIMIT window whose count is read off the loop
+     * row. The body joins it with a stored table and appends an
+     * aggregate over integer expressions to f4out, a table of its own
+     * so that other statements' INSERTs into outt do not make it fail.
+     * Body plans are prepared at the first row, so later rows run them
+     * on other sizes.
+     */
+    std::string
+    figure4Loop()
+    {
+        std::string loop;
+        std::string temp;
+        std::string key;
+        std::string x;
+        if (rng_.below(2u)) {
+            loop = "aln";
+            temp = "ReadExplode (Row.POS, Row.CIGAR, Row.SEQ, Row.QUAL)"
+                   " FROM Row";
+            key = "POS";
+            x = "BP";
+        } else {
+            static const char *const kCounts[] = {"Row.k", "Row.k * 9",
+                                                  "Row.b"};
+            loop = table();
+            temp = std::string("SELECT * FROM ") + table() +
+                " LIMIT (Row.pos - @x), " + pick(kCounts);
+            key = "k";
+            x = column();
+        }
+        static const char *const kJoin[] = {"INNER JOIN", "LEFT JOIN"};
+        static const char *const kAggs[] = {
+            "SUM(#j.x == #j.y)",
+            "SUM(#j.x == #j.y), COUNT(*)",
+            "COUNT(#j.x - #j.y), MIN(#j.x - #j.y), MAX(#j.x + #j.y)",
+        };
+        const std::string stored = table();
+        std::string s = "SET @x = 0 - " + std::to_string(rng_.below(8)) +
+            ";\nFOR Row IN " + loop + ":\n    CREATE TABLE #r AS " + temp +
+            ";\n    CREATE TABLE #j AS SELECT #r." + x + " AS x, " +
+            stored + "." + column() + " AS y FROM #r " + pick(kJoin) +
+            " " + stored + " ON #r." + key + " = " + stored + "." +
+            (key == "POS" ? "pos" : "k") +
+            ";\n    INSERT INTO f4out SELECT " + pick(kAggs) + " FROM #j";
+        if (rng_.below(3u) == 0)
+            s += " GROUP BY y";
+        return s + ";\nEND LOOP;\nSELECT * FROM f4out";
+    }
+
     std::string
     statement()
     {
-        switch (rng_.below(9u)) {
+        switch (rng_.below(10u)) {
           case 0:
             return "DECLARE @x int";
           case 1:
@@ -195,6 +247,8 @@ class QueryGen
                 " FROM x";
           case 7:
             return windowProbe();
+          case 8:
+            return figure4Loop();
           default:
             return selectStmt();
         }
@@ -344,7 +398,8 @@ TEST(SqlFuzz, MutatedScriptsNeverCrashTheParser)
  * Catalog every generated script can execute against: the four tables
  * the generator names, all carrying the generator's column pool, plus
  * the SEQ/POS pair PosExplode statements need and a partition 0 so
- * `PARTITION (@P)` scans resolve.
+ * `PARTITION (@P)` scans resolve, and the aligned reads (aln) the
+ * Figure-4 loops explode.
  */
 engine::Catalog
 makeFuzzCatalog()
@@ -388,6 +443,52 @@ makeFuzzCatalog()
         cat.putPartition(name, 0, tbl);
         cat.put(name, std::move(tbl));
     }
+
+    // Aligned reads for ReadExplode: 1 to 10 bases each, CIGARs with
+    // soft clips, deletions and insertions, positions overlapping pos.
+    using table::DataType;
+    table::Table aln("aln", table::Schema{{"k", DataType::Int64},
+                                          {"POS", DataType::UInt32},
+                                          {"CIGAR", DataType::Array16},
+                                          {"SEQ", DataType::Array8},
+                                          {"QUAL", DataType::Array8}});
+    Rng rng(seed);
+    for (int64_t i = 0; i < 12; ++i) {
+        const uint64_t len = 1 + rng.below(10);
+        const uint64_t a = 1 + rng.below(len);
+        std::string cigar = std::to_string(len) + "M";
+        if (a < len) {
+            const std::string rest = std::to_string(len - a);
+            switch (rng.below(3u)) {
+              case 0:
+                cigar = std::to_string(a) + "S" + rest + "M";
+                break;
+              case 1:
+                cigar = std::to_string(a) + "M" +
+                    std::to_string(1 + rng.below(3)) + "D" + rest + "M";
+                break;
+              default:
+                cigar = std::to_string(a) + "M" + rest + "I";
+                break;
+            }
+        }
+        table::Blob packed;
+        for (uint16_t e : genome::Cigar::parse(cigar).packAll())
+            packed.push_back(e);
+        table::Blob seq;
+        table::Blob qual;
+        for (uint64_t j = 0; j < len; ++j) {
+            seq.push_back(static_cast<int64_t>(rng.below(4)));
+            qual.push_back(static_cast<int64_t>(rng.below(41)));
+        }
+        aln.appendRow({table::Value(static_cast<int64_t>(rng.below(8))),
+                       table::Value(2 * i + static_cast<int64_t>(
+                                                rng.below(4))),
+                       table::Value(std::move(packed)),
+                       table::Value(std::move(seq)),
+                       table::Value(std::move(qual))});
+    }
+    cat.put("aln", std::move(aln));
     return cat;
 }
 
@@ -428,6 +529,8 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     };
     QueryGen gen(24601);
     int executed = 0;
+    int fig4_explodes = 0; // runnable Figure-4 bodies of each kind
+    int fig4_windows = 0;
     for (int trial = 0; trial < 60; ++trial) {
         std::string text = gen.script();
         engine::ExecConfig naive_cfg;
@@ -436,6 +539,12 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
         ExecOutcome naive = runScriptWith(text, naive_cfg);
         if (!naive.fatal)
             ++executed;
+        if (!naive.fatal &&
+            text.find("CREATE TABLE #j") != std::string::npos) {
+            const bool explode =
+                text.find("ReadExplode (Row") != std::string::npos;
+            ++(explode ? fig4_explodes : fig4_windows);
+        }
 
         for (uint32_t rule : kRules) {
             engine::ExecConfig cfg;
@@ -470,6 +579,8 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     }
     // The generator must produce a healthy share of runnable scripts.
     EXPECT_GT(executed, 10);
+    EXPECT_GT(fig4_explodes, 0);
+    EXPECT_GT(fig4_windows, 0);
 }
 
 } // namespace
