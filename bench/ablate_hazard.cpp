@@ -39,7 +39,7 @@ runUpdater(const std::vector<int64_t> &addrs, uint64_t *stalls)
             if (closed_ || !out_->canPush())
                 return;
             if (cursor_ < addrs_.size()) {
-                out_->push(sim::makeFlit(addrs_[cursor_++]));
+                out_->pushFlit(addrs_[cursor_++]);
                 return;
             }
             out_->close();

@@ -155,7 +155,7 @@ BM_SimulatorCyclesPerSecond(benchmark::State &state)
                 if (closed_ || !out_->canPush())
                     return;
                 if (n_ < 10'000) {
-                    out_->push(sim::makeFlit(n_++, 1));
+                    out_->pushFlit(n_++, 1);
                     return;
                 }
                 out_->close();

@@ -57,7 +57,7 @@ class Producer final : public sim::Module
             closed_ = true;
             return;
         }
-        out_->push(sim::makeFlit(static_cast<int64_t>(remaining_)));
+        out_->pushFlit(static_cast<int64_t>(remaining_));
         countFlit();
         --remaining_;
     }
@@ -116,8 +116,8 @@ class MemoryBoundWorker final : public sim::Module
             countStall(stallBackpressure_);
             return;
         }
-        sim::Flit flit = in_->pop();
-        out_->push(flit);
+        in_->pop();
+        out_->push(in_->front());
         countFlit();
         if (++seen_ % stride_ == 0 && port_->canIssue()) {
             port_->issue(seen_ * 64, 64, false);

@@ -242,7 +242,9 @@ Executor::execStatement(const sql::Statement &stmt)
  * One execution of a FOR loop: its prepared plans, and the running
  * iteration's temp scope and row binding. The destructor unwinds all of
  * it however the loop ends, so a failing body leaves no binding to the
- * destroyed loop snapshot and no temp table behind.
+ * destroyed loop snapshot and no temp table behind. An enclosing loop's
+ * binding of the same variable name is hidden while a row runs and
+ * restored after it.
  */
 class Executor::LoopState
 {
@@ -251,6 +253,9 @@ class Executor::LoopState
         : exec_(exec), var_(var), outerPlans_(exec.loopPlans_)
     {
         exec_.loopPlans_ = &plans_;
+        auto outer = exec_.env_.rowBindings.find(var_);
+        if (outer != exec_.env_.rowBindings.end())
+            outerBinding_ = outer->second;
     }
 
     ~LoopState()
@@ -276,7 +281,10 @@ class Executor::LoopState
         if (!inRow_)
             return;
         inRow_ = false;
-        exec_.env_.rowBindings.erase(var_);
+        if (outerBinding_)
+            exec_.env_.rowBindings[var_] = *outerBinding_;
+        else
+            exec_.env_.rowBindings.erase(var_);
         exec_.tempScopes_.pop_back();
         // Names of the popped scope may shadow others; drop the whole
         // temp-stats cache rather than track shadowing.
@@ -288,6 +296,7 @@ class Executor::LoopState
     const std::string &var_;
     PreparedPlans plans_;
     PreparedPlans *outerPlans_;
+    std::optional<VariableEnv::RowBinding> outerBinding_;
     bool inRow_ = false;
 };
 

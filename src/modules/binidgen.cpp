@@ -68,7 +68,7 @@ BinIdGen::tick()
             flagsIn_->pop();
         }
         in_->pop();
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         needFlags_ = true;
         prevBase_ = -1;
         traceBusy();
@@ -81,7 +81,8 @@ BinIdGen::tick()
             sleepOn(stallStarved_, {&flagsIn_->waiters()});
             return;
         }
-        int64_t flags = flagsIn_->pop().key;
+        int64_t flags = flagsIn_->front().key;
+        flagsIn_->pop();
         reverse_ = (flags & genome::kFlagReverse) != 0;
         needFlags_ = false;
         prevBase_ = -1;
@@ -89,11 +90,11 @@ BinIdGen::tick()
         // lookup is a register read in hardware).
     }
 
-    Flit flit = in_->pop();
+    in_->pop();
     countFlit();
-    int64_t bp = flit.fieldAt(config_.bpField);
-    int64_t qual = flit.fieldAt(config_.qualField);
-    int64_t cycle = flit.fieldAt(config_.cycleField);
+    int64_t bp = head.fieldAt(config_.bpField);
+    int64_t qual = head.fieldAt(config_.qualField);
+    int64_t cycle = head.fieldAt(config_.cycleField);
 
     int64_t b1 = Flit::kNull;
     int64_t b2 = Flit::kNull;
@@ -112,13 +113,7 @@ BinIdGen::tick()
     if (!deleted)
         prevBase_ = bp;
 
-    Flit result;
-    result.key = flit.key;
-    result.pushField(bp);
-    result.pushField(qual);
-    result.pushField(b1);
-    result.pushField(b2);
-    out_->push(result);
+    out_->pushFlit(head.key, bp, qual, b1, b2);
 }
 
 bool

@@ -89,18 +89,17 @@ Filter::tick()
     const Flit &head = in_->front();
     if (sim::isBoundary(head)) {
         in_->pop();
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         traceBusy();
         return;
     }
-    Flit flit = in_->pop();
-    bool match = matches(flit);
+    in_->pop();
+    bool match = matches(head);
     countFlit();
     if (config_.maskMode) {
-        flit.pushField(match ? 1 : 0);
-        out_->push(flit);
+        out_->push(head).pushField(match ? 1 : 0);
     } else if (match) {
-        out_->push(flit);
+        out_->push(head);
     } else {
         ++*dropped_;
     }

@@ -26,7 +26,8 @@ Fork::tick()
         }
     }
     if (in_->canPop()) {
-        sim::Flit flit = in_->pop();
+        const sim::Flit &flit = in_->front();
+        in_->pop();
         for (auto *out : outs_)
             out->push(flit);
         countFlit();

@@ -62,7 +62,7 @@ GatherReader::tick()
         return;
     }
     if (pendingBoundary_) {
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         pendingBoundary_ = false;
         traceBusy();
         return;
@@ -72,7 +72,7 @@ GatherReader::tick()
         if (cursor_ >= intervalEnd_) {
             intervalActive_ = false;
             if (config_.emitBoundaries) {
-                out_->push(sim::makeBoundary());
+                out_->pushBoundary();
                 traceBusy();
                 return;
             }
@@ -89,10 +89,7 @@ GatherReader::tick()
             GENESIS_ASSERT(idx < buffer_->elements.size(),
                            "gather read of %zu beyond buffer %zu", idx,
                            buffer_->elements.size());
-            Flit flit;
-            flit.key = cursor_;
-            flit.pushField(buffer_->elements[idx]);
-            out_->push(flit);
+            out_->pushFlit(cursor_, buffer_->elements[idx]);
             countFlit();
             ++cursor_;
             bytesConsumed_ = next;
@@ -105,8 +102,10 @@ GatherReader::tick()
     }
 
     if (startIn_->canPop() && endIn_->canPop()) {
-        Flit start = startIn_->pop();
-        Flit end = endIn_->pop();
+        const Flit &start = startIn_->front();
+        const Flit &end = endIn_->front();
+        startIn_->pop();
+        endIn_->pop();
         GENESIS_ASSERT(!sim::isBoundary(start) && !sim::isBoundary(end),
                        "gather reader expects scalar interval streams");
         cursor_ = start.key;

@@ -18,22 +18,20 @@ Joiner::Joiner(std::string name, sim::HardwareQueue *left,
 void
 Joiner::emitLeftOnly(const Flit &flit)
 {
-    Flit merged = flit;
+    Flit &merged = out_->push(flit);
     for (int i = 0; i < config_.rightFields; ++i)
         merged.pushField(Flit::kNull);
-    out_->push(merged);
     countFlit();
 }
 
 void
 Joiner::emitRightOnly(const Flit &flit)
 {
-    Flit merged;
+    Flit &merged = out_->emplace();
     merged.key = flit.key;
     for (int i = 0; i < config_.leftFields; ++i)
         merged.pushField(Flit::kNull);
     merged.mergeFields(flit);
-    out_->push(merged);
     countFlit();
 }
 
@@ -58,7 +56,7 @@ Joiner::tick()
     // Item boundary: both sides finished the current item.
     if (left_stopped && right_stopped) {
         if (leftItemDone_ || rightItemDone_) {
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             leftItemDone_ = false;
             rightItemDone_ = false;
             traceBusy();
@@ -93,7 +91,8 @@ Joiner::tick()
     // One side finished its item: the other side's remaining flits are
     // unmatched by construction.
     if (left_stopped && right_data) {
-        Flit flit = right_->pop();
+        const Flit &flit = right_->front();
+        right_->pop();
         if (config_.mode == JoinMode::Outer) {
             emitRightOnly(flit);
         } else {
@@ -103,7 +102,8 @@ Joiner::tick()
         return;
     }
     if (right_stopped && left_data) {
-        Flit flit = left_->pop();
+        const Flit &flit = left_->front();
+        left_->pop();
         if (config_.mode == JoinMode::Inner) {
             ++*droppedLeft_;
             traceBusy();
@@ -125,38 +125,37 @@ Joiner::tick()
 
     // Inserted bases bypass the key comparison.
     if (lhead.key == Flit::kIns) {
-        Flit flit = left_->pop();
+        left_->pop();
         if (config_.mode == JoinMode::Inner) {
             ++*droppedLeft_;
             traceBusy();
         } else {
-            emitLeftOnly(flit);
+            emitLeftOnly(lhead);
         }
         return;
     }
 
     if (lhead.key == rhead.key) {
-        Flit merged = left_->pop();
-        Flit right_flit = right_->pop();
-        merged.mergeFields(right_flit);
-        out_->push(merged);
+        left_->pop();
+        right_->pop();
+        out_->push(lhead).mergeFields(rhead);
         countFlit();
         return;
     }
     if (lhead.key < rhead.key) {
-        Flit flit = left_->pop();
+        left_->pop();
         if (config_.mode == JoinMode::Inner) {
             ++*droppedLeft_;
             traceBusy();
         } else {
-            emitLeftOnly(flit);
+            emitLeftOnly(lhead);
         }
         return;
     }
     // rhead.key < lhead.key
-    Flit flit = right_->pop();
+    right_->pop();
     if (config_.mode == JoinMode::Outer) {
-        emitRightOnly(flit);
+        emitRightOnly(rhead);
     } else {
         ++*droppedRight_;
         traceBusy();

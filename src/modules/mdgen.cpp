@@ -41,9 +41,9 @@ MdGen::tick()
         int64_t c = pending_.front();
         pending_.pop_front();
         if (c == kBoundaryMark)
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
         else
-            out_->push(sim::makeFlit(c, c));
+            out_->pushFlit(c, c);
         traceBusy();
         return;
     }
@@ -58,11 +58,11 @@ MdGen::tick()
             traceBusy();
             return;
         }
-        Flit flit = in_->pop();
+        in_->pop();
         countFlit();
-        int64_t bp = flit.fieldAt(config_.bpField);
-        int64_t ref = flit.fieldAt(config_.refField);
-        if (flit.key == Flit::kIns || ref == Flit::kNull) {
+        int64_t bp = head.fieldAt(config_.bpField);
+        int64_t ref = head.fieldAt(config_.refField);
+        if (head.key == Flit::kIns || ref == Flit::kNull) {
             // Inserted bases carry no reference information: MD skips
             // them entirely. They do split a deletion run, so a deletion
             // resuming after an insertion starts a fresh "0^" group

@@ -6,8 +6,6 @@
 
 namespace genesis::modules {
 
-using sim::Flit;
-
 MemoryReader::MemoryReader(std::string name, const ColumnBuffer *buffer,
                            sim::MemoryPort *port, sim::HardwareQueue *out,
                            const MemoryReaderConfig &config)
@@ -17,6 +15,7 @@ MemoryReader::MemoryReader(std::string name, const ColumnBuffer *buffer,
     GENESIS_ASSERT(buffer_ && port_ && out_,
                    "memory reader needs buffer, port and output queue");
     granularity_ = port_->checkedAccessGranularity("memory reader");
+    totalBytes_ = buffer_->totalBytes();
     if (!buffer_->rowLengths.empty()) {
         rowRemaining_ = buffer_->rowLengths[0];
         rowLoaded_ = true;
@@ -32,14 +31,13 @@ MemoryReader::tick()
     // 1. Keep the prefetch pipeline full: request more bytes while the
     //    in-flight + buffered volume stays under the prefetch capacity.
     //    Requests go out at the configured memory access granularity.
-    const uint64_t total = buffer_->totalBytes();
     bool issued = false;
-    while (bytesRequested_ < total && port_->canIssue()) {
+    while (bytesRequested_ < totalBytes_ && port_->canIssue()) {
         uint64_t in_flight_or_buffered = bytesRequested_ - bytesConsumed_;
         if (in_flight_or_buffered >= config_.prefetchBytes)
             break;
         uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
-            granularity_, total - bytesRequested_));
+            granularity_, totalBytes_ - bytesRequested_));
         port_->issue(buffer_->baseAddr + bytesRequested_, chunk, false);
         bytesRequested_ += chunk;
         issued = true;
@@ -65,7 +63,7 @@ MemoryReader::tick()
         return;
     }
     if (pendingBoundary_) {
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         pendingBoundary_ = false;
         traceBusy();
         return;
@@ -75,7 +73,7 @@ MemoryReader::tick()
     if (rowLoaded_ && rowRemaining_ == 0) {
         advanceRow();
         if (config_.emitBoundaries) {
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             traceBusy();
         } else {
             noteProgress();
@@ -97,7 +95,7 @@ MemoryReader::tick()
         return;
     }
     int64_t value = buffer_->elements[elemCursor_];
-    out_->push(sim::makeFlit(value, value));
+    out_->pushFlit(value, value);
     countFlit();
     ++elemCursor_;
     bytesConsumed_ = next_consumed;

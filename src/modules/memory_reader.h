@@ -27,7 +27,10 @@ struct MemoryReaderConfig {
     uint32_t prefetchBytes = 512;
 };
 
-/** Streams one ColumnBuffer from device memory into a queue. */
+/**
+ * Streams one ColumnBuffer from device memory into a queue. The buffer
+ * must hold its data before the reader is built and keep it unchanged.
+ */
 class MemoryReader : public sim::Module
 {
   public:
@@ -52,6 +55,8 @@ class MemoryReader : public sim::Module
     MemoryReaderConfig config_;
     /** Request chunk size, from the memory system's MemoryConfig. */
     uint32_t granularity_ = 0;
+    /** The buffer's totalBytes(), taken once at construction. */
+    uint64_t totalBytes_ = 0;
 
     uint64_t bytesRequested_ = 0;
     uint64_t bytesArrived_ = 0;

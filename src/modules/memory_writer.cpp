@@ -39,15 +39,14 @@ MemoryWriter::tick()
             // Issue backpressure by not popping when the port is saturated
             // far beyond a full chunk.
             if (bytesAccumulated_ < 4ull * granularity_) {
-                Flit flit = in_->pop();
-                popped = true;
                 int64_t v = config_.fieldIndex < 0
-                    ? flit.key : flit.fieldAt(config_.fieldIndex);
-                if (config_.rowMode) {
+                    ? head.key : head.fieldAt(config_.fieldIndex);
+                in_->pop();
+                popped = true;
+                if (config_.rowMode)
                     currentRow_.push_back(v);
-                } else {
-                    buffer_->appendRow({v});
-                }
+                else
+                    buffer_->appendScalar(v);
                 bytesAccumulated_ += config_.elemSizeBytes;
                 countFlit();
             } else {

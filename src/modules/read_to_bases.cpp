@@ -39,8 +39,13 @@ ReadToBases::consumeBase(int64_t &bp, int64_t &qual)
         (!qualIn_->canPop() || sim::isBoundary(qualIn_->front()))) {
         return false;
     }
-    bp = seqIn_->pop().key;
-    qual = qualIn_ ? qualIn_->pop().key : Flit::kNull;
+    bp = seqIn_->front().key;
+    seqIn_->pop();
+    qual = Flit::kNull;
+    if (qualIn_) {
+        qual = qualIn_->front().key;
+        qualIn_->pop();
+    }
     return true;
 }
 
@@ -57,7 +62,8 @@ ReadToBases::tick()
 
     if (!active_) {
         if (posIn_->canPop()) {
-            refPos_ = posIn_->pop().key;
+            refPos_ = posIn_->front().key;
+            posIn_->pop();
             active_ = true;
             cycle_ = 0;
             haveElem_ = false;
@@ -107,13 +113,14 @@ ReadToBases::tick()
             seqIn_->pop();
             if (qualIn_)
                 qualIn_->pop();
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             active_ = false;
             traceBusy();
             return;
         }
         elem_ = genome::CigarElement::unpack(
-            static_cast<uint16_t>(cigarIn_->pop().key));
+            static_cast<uint16_t>(cigarIn_->front().key));
+        cigarIn_->pop();
         elemRemaining_ = elem_.length;
         haveElem_ = elemRemaining_ > 0;
         traceBusy();
@@ -137,7 +144,7 @@ ReadToBases::tick()
             sleepOnBases();
             return;
         }
-        out_->push(sim::makeFlit(refPos_, bp, qual, cycle_));
+        out_->pushFlit(refPos_, bp, qual, cycle_);
         countFlit();
         ++refPos_;
         ++cycle_;
@@ -148,13 +155,12 @@ ReadToBases::tick()
             sleepOnBases();
             return;
         }
-        out_->push(sim::makeFlit(Flit::kIns, bp, qual, cycle_));
+        out_->pushFlit(Flit::kIns, bp, qual, cycle_);
         countFlit();
         ++cycle_;
         break;
       case CigarOp::Delete:
-        out_->push(sim::makeFlit(refPos_, Flit::kDel, Flit::kDel,
-                                 Flit::kDel));
+        out_->pushFlit(refPos_, Flit::kDel, Flit::kDel, Flit::kDel);
         countFlit();
         ++refPos_;
         break;

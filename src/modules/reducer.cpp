@@ -68,18 +68,14 @@ Reducer::accumulate(const Flit &flit)
     any_ = true;
 }
 
-Flit
-Reducer::resultFlit()
+void
+Reducer::pushResult()
 {
-    Flit flit;
-    flit.key = itemIndex_++;
-    if ((config_.op == ReduceOp::Min || config_.op == ReduceOp::Max) &&
-        !any_) {
-        flit.pushField(Flit::kNull);
-    } else {
-        flit.pushField(accumulator_);
-    }
-    return flit;
+    const bool empty_extreme =
+        (config_.op == ReduceOp::Min || config_.op == ReduceOp::Max) &&
+        !any_;
+    out_->pushFlit(itemIndex_++, empty_extreme ? Flit::kNull
+                                               : accumulator_);
 }
 
 void
@@ -93,7 +89,7 @@ Reducer::tick()
         return;
     }
     if (pendingBoundary_) {
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         pendingBoundary_ = false;
         traceBusy();
         return;
@@ -103,21 +99,22 @@ Reducer::tick()
         if (sim::isBoundary(head)) {
             in_->pop();
             if (config_.granularity == ReduceGranularity::PerItem) {
-                out_->push(resultFlit());
+                pushResult();
                 resetAccumulator();
                 pendingBoundary_ = config_.emitBoundaries;
             }
             traceBusy();
             return;
         }
-        accumulate(in_->pop());
+        in_->pop();
+        accumulate(head);
         countFlit();
         return;
     }
     if (in_->drained()) {
         if (config_.granularity == ReduceGranularity::WholeStream &&
             !finalEmitted_) {
-            out_->push(resultFlit());
+            pushResult();
             finalEmitted_ = true;
             traceBusy();
             return;

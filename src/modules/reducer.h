@@ -58,7 +58,7 @@ class Reducer : public sim::Module
     StatHandle stallBackpressure_ = stallCounter("backpressure");
 
     void accumulate(const sim::Flit &flit);
-    sim::Flit resultFlit();
+    void pushResult();
     void resetAccumulator();
 
     sim::HardwareQueue *in_;

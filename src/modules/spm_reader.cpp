@@ -45,15 +45,10 @@ SpmReader::SpmReader(std::string name, const sim::Scratchpad *spm,
 void
 SpmReader::pushWord(int64_t key, int64_t word)
 {
-    Flit flit;
-    flit.key = key;
-    if (config_.unpackPair) {
-        flit.pushField(word & 0xff);
-        flit.pushField((word >> 8) & 0xff);
-    } else {
-        flit.pushField(word);
-    }
-    out_->push(flit);
+    if (config_.unpackPair)
+        out_->pushFlit(key, word & 0xff, (word >> 8) & 0xff);
+    else
+        out_->pushFlit(key, word);
     countFlit();
 }
 
@@ -91,20 +86,19 @@ SpmReader::tick()
             return;
         }
         const Flit &head = startIn_->front();
+        startIn_->pop();
         if (sim::isBoundary(head)) {
-            startIn_->pop();
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             traceBusy();
             return;
         }
-        Flit flit = startIn_->pop();
-        int64_t addr = flit.key - config_.addrBase;
-        pushWord(flit.key, spm_->read(static_cast<size_t>(addr)));
+        int64_t addr = head.key - config_.addrBase;
+        pushWord(head.key, spm_->read(static_cast<size_t>(addr)));
         return;
       }
       case SpmReadMode::Interval: {
         if (pendingBoundary_) {
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             pendingBoundary_ = false;
             traceBusy();
             return;
@@ -113,7 +107,7 @@ SpmReader::tick()
             if (cursor_ >= intervalEnd_) {
                 intervalActive_ = false;
                 if (config_.emitBoundaries) {
-                    out_->push(sim::makeBoundary());
+                    out_->pushBoundary();
                     traceBusy();
                     return;
                 }
@@ -129,8 +123,10 @@ SpmReader::tick()
             }
         }
         if (startIn_->canPop() && endIn_->canPop()) {
-            Flit start = startIn_->pop();
-            Flit end = endIn_->pop();
+            const Flit &start = startIn_->front();
+            const Flit &end = endIn_->front();
+            startIn_->pop();
+            endIn_->pop();
             GENESIS_ASSERT(!sim::isBoundary(start) &&
                            !sim::isBoundary(end),
                            "interval SPM reader expects scalar streams");

@@ -28,31 +28,30 @@ SpmUpdater::tick()
         // Advance the RMW pipeline back to front. The write stage
         // commits; modify computes; read samples the SPM. Any occupied
         // stage means this tick mutates state without a queue op.
-        if (stages_[0] || stages_[1] || stages_[2])
+        Stage &read = stage(0);
+        Stage &modify = stage(1);
+        Stage &write = stage(2);
+        if (!pipelineEmpty())
             noteProgress();
-        if (stages_[2]) {
-            spm_->write(stages_[2]->addr, stages_[2]->value);
+        if (write.valid) {
+            spm_->write(write.addr, write.value);
             // Publish the write-back on the SPM's hazard scoreboard so
             // modules sleeping on the address can be woken.
-            spm_->hazardRelease(stages_[2]->addr);
-            stages_[2].reset();
+            spm_->hazardRelease(write.addr);
+            write.valid = false;
         }
-        if (stages_[1]) {
-            stages_[1]->value =
-                config_.modify(stages_[1]->value, stages_[1]->flit);
-            stages_[2] = std::move(stages_[1]);
-            stages_[1].reset();
-        }
-        if (stages_[0]) {
-            stages_[0]->value = spm_->read(stages_[0]->addr);
-            stages_[1] = std::move(stages_[0]);
-            stages_[0].reset();
-        }
+        if (modify.valid)
+            modify.value = config_.modify(modify.value, modify.flit);
+        if (read.valid)
+            read.value = spm_->read(read.addr);
+        // Read moves on to modify and modify to write; the freed write
+        // slot becomes the read stage.
+        readSlot_ = (readSlot_ + 2) % 3;
 
         if (!in_->canPop()) {
             // Only fully idle (stages drained too) ticks may sleep:
             // future ticks stay no-ops until the input queue commits.
-            if (!stages_[0] && !stages_[1] && !stages_[2])
+            if (pipelineEmpty())
                 sleepOn(nullptr, {&in_->waiters()});
             return;
         }
@@ -75,8 +74,8 @@ SpmUpdater::tick()
         size_t addr = static_cast<size_t>(raw_addr - config_.addrBase);
         // Hazard interlock: hold the flit while any in-flight stage
         // operates on the same address (RAW avoidance, Section III-C).
-        for (const auto &stage : stages_) {
-            if (stage && stage->addr == addr) {
+        for (const Stage &busy : stages_) {
+            if (busy.valid && busy.addr == addr) {
                 countStall(stallRmwHazard_);
                 // One instant per held flit, tagged with the conflicting
                 // address, so traces show each interlock engagement.
@@ -91,8 +90,11 @@ SpmUpdater::tick()
                 return;
             }
         }
-        Flit flit = in_->pop();
-        stages_[0] = Stage{addr, 0, flit};
+        in_->pop();
+        Stage &entry = stage(0);
+        entry.valid = true;
+        entry.addr = addr;
+        entry.flit = head;
         spm_->hazardAcquire(addr);
         hazardTraced_ = false;
         countFlit();
@@ -110,15 +112,15 @@ SpmUpdater::tick()
         traceBusy();
         return;
     }
-    Flit flit = in_->pop();
+    in_->pop();
     int64_t value = config_.valueField < 0
-        ? flit.key : flit.fieldAt(config_.valueField);
+        ? head.key : head.fieldAt(config_.valueField);
     size_t addr;
     if (config_.mode == SpmUpdateMode::Sequential) {
         addr = seqCursor_++;
     } else {
         int64_t raw_addr = config_.addrField < 0
-            ? flit.key : flit.fieldAt(config_.addrField);
+            ? head.key : head.fieldAt(config_.addrField);
         addr = static_cast<size_t>(raw_addr - config_.addrBase);
     }
     spm_->write(addr, value);
@@ -128,7 +130,7 @@ SpmUpdater::tick()
 bool
 SpmUpdater::done() const
 {
-    return in_->drained() && !stages_[0] && !stages_[1] && !stages_[2];
+    return in_->drained() && pipelineEmpty();
 }
 
 } // namespace genesis::modules

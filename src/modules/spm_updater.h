@@ -17,7 +17,6 @@
 #define GENESIS_MODULES_SPM_UPDATER_H
 
 #include <functional>
-#include <optional>
 
 #include "sim/module.h"
 #include "sim/spm.h"
@@ -73,18 +72,32 @@ class SpmUpdater : public sim::Module
     bool hazardTraced_ = false;
 
     struct Stage {
+        bool valid = false;
         size_t addr = 0;
         int64_t value = 0; ///< read result flowing to modify/write
         sim::Flit flit;
     };
+
+    /** RMW stage s: 0 = read, 1 = modify, 2 = write. */
+    Stage &stage(unsigned s) { return stages_[(readSlot_ + s) % 3]; }
+
+    bool
+    pipelineEmpty() const
+    {
+        return !stages_[0].valid && !stages_[1].valid && !stages_[2].valid;
+    }
 
     sim::Scratchpad *spm_;
     sim::HardwareQueue *in_;
     SpmUpdaterConfig config_;
 
     size_t seqCursor_ = 0;
-    /** RMW pipeline stages: [0]=read, [1]=modify, [2]=write. */
-    std::optional<Stage> stages_[3];
+    /**
+     * RMW pipeline slots, in no stage order: a stage advances by moving
+     * readSlot_, the slot of the read stage, not by copying its flit.
+     */
+    Stage stages_[3];
+    unsigned readSlot_ = 0;
 };
 
 } // namespace genesis::modules

@@ -64,23 +64,22 @@ StreamAlu::tick()
         if (a_boundary && b_boundary) {
             inA_->pop();
             inB_->pop();
-            out_->push(sim::makeBoundary());
+            out_->pushBoundary();
             traceBusy();
             return;
         }
         if (a_has && b_has && !a_boundary && !b_boundary) {
-            Flit a = inA_->pop();
-            Flit b = inB_->pop();
+            const Flit &a = inA_->front();
+            const Flit &b = inB_->front();
             int64_t va = config_.fieldA < 0
                 ? a.key : a.fieldAt(config_.fieldA);
             int64_t vb = config_.fieldB < 0
                 ? b.key : b.fieldAt(config_.fieldB);
             bool masked = config_.maskField >= 0 &&
                 a.fieldAt(config_.maskField) == 0;
-            Flit result;
-            result.key = a.key;
-            result.pushField(masked ? va : apply(config_.op, va, vb));
-            out_->push(result);
+            inA_->pop();
+            inB_->pop();
+            out_->pushFlit(a.key, masked ? va : apply(config_.op, va, vb));
             countFlit();
             return;
         }
@@ -101,21 +100,19 @@ StreamAlu::tick()
     // Unary / constant-operand form.
     if (a_boundary) {
         inA_->pop();
-        out_->push(sim::makeBoundary());
+        out_->pushBoundary();
         traceBusy();
         return;
     }
     if (a_has) {
-        Flit a = inA_->pop();
+        const Flit &a = inA_->front();
         int64_t va = config_.fieldA < 0
             ? a.key : a.fieldAt(config_.fieldA);
         bool masked = config_.maskField >= 0 &&
             a.fieldAt(config_.maskField) == 0;
-        Flit result;
-        result.key = a.key;
-        result.pushField(masked ? va
-                         : apply(config_.op, va, config_.constantB));
-        out_->push(result);
+        inA_->pop();
+        out_->pushFlit(a.key, masked ? va
+                       : apply(config_.op, va, config_.constantB));
         countFlit();
         return;
     }

@@ -54,6 +54,14 @@ struct ColumnBuffer {
                         row_elements.end());
         rowLengths.push_back(static_cast<uint32_t>(row_elements.size()));
     }
+
+    /** Append a one-element row. */
+    void
+    appendScalar(int64_t value)
+    {
+        elements.push_back(value);
+        rowLengths.push_back(1);
+    }
 };
 
 } // namespace genesis::modules

@@ -7,26 +7,15 @@
 namespace genesis::sim {
 
 void
-Flit::pushField(int64_t v)
+Flit::failOverflow()
 {
-    if (numFields >= kMaxFields)
-        panic("flit field overflow (max %d)", kMaxFields);
-    field[numFields++] = v;
-}
-
-int64_t
-Flit::fieldAt(int i) const
-{
-    if (i < 0 || i >= numFields)
-        panic("flit field %d out of range (%d fields)", i, numFields);
-    return field[static_cast<size_t>(i)];
+    panic("flit field overflow (max %d)", kMaxFields);
 }
 
 void
-Flit::mergeFields(const Flit &other)
+Flit::failRange(int i) const
 {
-    for (int i = 0; i < other.numFields; ++i)
-        pushField(other.field[static_cast<size_t>(i)]);
+    panic("flit field %d out of range (%d fields)", i, numFields);
 }
 
 std::string
@@ -55,59 +44,6 @@ Flit::str() const
         os << " EOI";
     os << "}";
     return os.str();
-}
-
-Flit
-makeBoundary()
-{
-    Flit f;
-    f.key = Flit::kBoundary;
-    f.lastOfItem = true;
-    return f;
-}
-
-bool
-isBoundary(const Flit &flit)
-{
-    return flit.key == Flit::kBoundary && flit.lastOfItem;
-}
-
-Flit
-makeFlit(int64_t key)
-{
-    Flit f;
-    f.key = key;
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0, int64_t f1)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    f.pushField(f1);
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0, int64_t f1, int64_t f2)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    f.pushField(f1);
-    f.pushField(f2);
-    return f;
 }
 
 } // namespace genesis::sim

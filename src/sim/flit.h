@@ -55,31 +55,55 @@ struct Flit {
     bool lastOfItem = false;
 
     /** Append a data field; panics when the flit is full. */
-    void pushField(int64_t v);
+    void
+    pushField(int64_t v)
+    {
+        if (numFields >= kMaxFields)
+            failOverflow();
+        field[numFields++] = v;
+    }
 
     /** @return field i with bounds checking. */
-    int64_t fieldAt(int i) const;
+    int64_t
+    fieldAt(int i) const
+    {
+        if (i < 0 || i >= numFields)
+            failRange(i);
+        return field[static_cast<size_t>(i)];
+    }
 
     /** Append all of other's fields to this flit (join concatenation). */
-    void mergeFields(const Flit &other);
+    void
+    mergeFields(const Flit &other)
+    {
+        for (int i = 0; i < other.numFields; ++i)
+            pushField(other.field[static_cast<size_t>(i)]);
+    }
 
     /** Render for diagnostics. */
     std::string str() const;
 
     bool operator==(const Flit &other) const = default;
+
+  private:
+    // The panics are kept out of line so the helpers above inline into
+    // every module tick.
+    [[noreturn]] static void failOverflow();
+    [[noreturn]] void failRange(int i) const;
 };
 
-/** Make a key-only flit. */
-Flit makeFlit(int64_t key);
-
-/** Make a flit with a key and one data field. */
-Flit makeFlit(int64_t key, int64_t f0);
-
-/** Make a flit with a key and two data fields. */
-Flit makeFlit(int64_t key, int64_t f0, int64_t f1);
-
-/** Make a flit with a key and three data fields. */
-Flit makeFlit(int64_t key, int64_t f0, int64_t f1, int64_t f2);
+/** Make a flit with a key and up to Flit::kMaxFields data fields. */
+template <typename... Fields>
+inline Flit
+makeFlit(int64_t key, Fields... fields)
+{
+    static_assert(sizeof...(Fields) <= Flit::kMaxFields,
+                  "too many flit fields");
+    Flit f;
+    f.key = key;
+    (f.pushField(fields), ...);
+    return f;
+}
 
 /**
  * Make an item-boundary marker flit. Boundary flits flow in-band between
@@ -88,10 +112,21 @@ Flit makeFlit(int64_t key, int64_t f0, int64_t f1, int64_t f2);
  * item-aligned joins, row-structured memory writes — see row boundaries
  * without out-of-band signalling.
  */
-Flit makeBoundary();
+inline Flit
+makeBoundary()
+{
+    Flit f;
+    f.key = Flit::kBoundary;
+    f.lastOfItem = true;
+    return f;
+}
 
 /** @return true when the flit is an item-boundary marker. */
-bool isBoundary(const Flit &flit);
+inline bool
+isBoundary(const Flit &flit)
+{
+    return flit.key == Flit::kBoundary && flit.lastOfItem;
+}
 
 } // namespace genesis::sim
 

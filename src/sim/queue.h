@@ -41,17 +41,39 @@ class HardwareQueue
     /** @return true when the producer may push this cycle. */
     bool canPush() const;
 
-    /** Stage a push; at most one per cycle. */
-    void push(const Flit &flit);
+    /*
+     * Pushes: at most one per cycle, staged in the ring's free slot,
+     * where commit() only has to count it in. A producer builds its flit
+     * in that slot instead of copying a temporary in; emplace() and
+     * push() return it, and it is the producer's until commit(). The
+     * first staged operation of a cycle sets when the queue commits
+     * among the others, and so the order of queue counters in a trace.
+     */
+
+    /** Stage a push of a reset flit (key 0, no fields) to fill in. */
+    Flit &emplace();
+
+    /** Stage a push of a copy of `flit`, e.g. another queue's front(). */
+    Flit &push(const Flit &flit);
+
+    /** Stage a push of a flit with `key` and data `fields`. */
+    template <typename... Fields>
+    void pushFlit(int64_t key, Fields... fields);
+
+    /** Stage a push of an item-boundary marker (see makeBoundary()). */
+    void pushBoundary();
 
     /** @return true when a committed flit is available this cycle. */
     bool canPop() const;
 
-    /** @return the flit visible at the head this cycle. */
+    /**
+     * @return the flit visible at the head this cycle. The reference
+     * stays valid until commit(), also after pop() has been staged.
+     */
     const Flit &front() const;
 
     /** Stage a pop of the head flit; at most one per cycle. */
-    Flit pop();
+    void pop();
 
     /** Producer marks the stream complete (staged like a push). */
     void close();
@@ -111,6 +133,8 @@ class HardwareQueue
     WaitList &waiters() { return waiters_; }
 
   private:
+    /** Check and stage a push; @return the slot it fills. */
+    Flit &stagePush();
     /** Panic for a push to a full or closed queue (kept out of line). */
     [[noreturn]] void failPush() const;
     /** Panic for `op` ("front of", "pop from") on an empty queue. */
@@ -168,16 +192,48 @@ HardwareQueue::canPush() const
     return !stagedPushValid_ && buffer_.size() < capacity_;
 }
 
-inline void
-HardwareQueue::push(const Flit &flit)
+inline Flit &
+HardwareQueue::stagePush()
 {
     if (!canPush() || closed_ || stagedClose_)
         failPush();
-    // canPush() leaves the ring a free slot: stage the flit in it, where
-    // commit() only has to count it in.
-    buffer_.nextSlot() = flit;
     stagedPushValid_ = true;
     markDirty();
+    // canPush() leaves the ring a free slot.
+    return buffer_.nextSlot();
+}
+
+inline Flit &
+HardwareQueue::emplace()
+{
+    // A full reset: the slot last held an older flit, whose fields past
+    // the new numFields must not reach operator==.
+    return stagePush() = Flit{};
+}
+
+inline Flit &
+HardwareQueue::push(const Flit &flit)
+{
+    return stagePush() = flit;
+}
+
+template <typename... Fields>
+inline void
+HardwareQueue::pushFlit(int64_t key, Fields... fields)
+{
+    static_assert(sizeof...(Fields) <= Flit::kMaxFields,
+                  "too many flit fields");
+    Flit &slot = emplace();
+    slot.key = key;
+    (slot.pushField(fields), ...);
+}
+
+inline void
+HardwareQueue::pushBoundary()
+{
+    Flit &slot = emplace();
+    slot.key = Flit::kBoundary;
+    slot.lastOfItem = true;
 }
 
 inline bool
@@ -194,14 +250,13 @@ HardwareQueue::front() const
     return buffer_.front();
 }
 
-inline Flit
+inline void
 HardwareQueue::pop()
 {
     if (!canPop())
         failEmpty("pop from");
     stagedPop_ = true;
     markDirty();
-    return buffer_.front();
 }
 
 inline bool

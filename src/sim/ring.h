@@ -27,7 +27,7 @@ template <typename T>
 class Ring
 {
   public:
-    explicit Ring(size_t slots) : slots_(slots) {}
+    explicit Ring(size_t slots) : slots_(slots), numSlots_(slots) {}
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -42,7 +42,7 @@ class Ring
     void
     push_back(const T &value)
     {
-        if (size_ == slots_.size())
+        if (size_ == numSlots_)
             grow();
         nextSlot() = value;
         ++size_;
@@ -67,20 +67,24 @@ class Ring
     size_t
     wrap(size_t i) const
     {
-        return i >= slots_.size() ? i - slots_.size() : i;
+        return i >= numSlots_ ? i - numSlots_ : i;
     }
 
     void
     grow()
     {
-        std::vector<T> bigger(slots_.empty() ? 1 : 2 * slots_.size());
+        std::vector<T> bigger(numSlots_ == 0 ? 1 : 2 * numSlots_);
         for (size_t i = 0; i < size_; ++i)
             bigger[i] = std::move(slots_[wrap(head_ + i)]);
         slots_.swap(bigger);
+        numSlots_ = slots_.size();
         head_ = 0;
     }
 
     std::vector<T> slots_;
+    /** slots_.size(), kept so that wrap() need not divide the byte span
+     *  by sizeof(T). */
+    size_t numSlots_;
     size_t head_ = 0;
     size_t size_ = 0;
 };

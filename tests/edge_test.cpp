@@ -283,6 +283,35 @@ TEST_F(EngineEdge, FailedLoopLeavesNoLoopState)
     }
 }
 
+TEST_F(EngineEdge, NestedLoopRestoresTheOuterRowBinding)
+{
+    // An inner loop over the same variable name hides the outer row only
+    // while it runs: the statement after it sees the outer row again.
+    Table two("two", Schema{{"POS", DataType::Int64}});
+    two.appendRow({Value(10)});
+    two.appendRow({Value(20)});
+    catalog_.put("two", std::move(two));
+    for (bool vectorize : {false, true}) {
+        SCOPED_TRACE(vectorize ? "vectorized" : "row engine");
+        runWith(vectorize, R"(
+            FOR Row IN two:
+                FOR Row IN two:
+                    INSERT INTO o SELECT Row.POS AS P FROM two LIMIT 1;
+                END LOOP;
+                INSERT INTO o SELECT Row.POS AS P FROM two LIMIT 1;
+            END LOOP;
+        )");
+        const Table *o = catalog_.find("o");
+        ASSERT_NE(o, nullptr);
+        std::vector<int64_t> got;
+        for (size_t r = 0; r < o->numRows(); ++r)
+            got.push_back(o->at(r, 0).asInt());
+        // Rows 3 and 6 come from the outer body: the outer row's POS.
+        EXPECT_EQ(got, (std::vector<int64_t>{10, 20, 10, 10, 20, 20}));
+        catalog_.erase("o");
+    }
+}
+
 TEST_F(EngineEdge, IntExpressionAggregatesMatchTheRowEngine)
 {
     // K groups rows (one NULL key); X and Y hold NULLs, so the argument

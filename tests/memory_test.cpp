@@ -389,7 +389,8 @@ TEST(MemModelStats, InvariantHoldsThroughFastForwardedRuns)
                 }
                 return;
             }
-            held_ = in_->pop();
+            held_ = in_->front();
+            in_->pop();
             port_->issue(static_cast<uint64_t>(held_->key) * 4096 + 9,
                         48, false);
             waiting_ = true;
@@ -565,7 +566,8 @@ TEST(MemModelParity, FastForwardBitIdenticalOnGatherTraffic)
                     }
                     return;
                 }
-                held_ = in_->pop();
+                held_ = in_->front();
+                in_->pop();
                 uint64_t key = static_cast<uint64_t>(held_->key);
                 uint32_t bytes =
                     40 + static_cast<uint32_t>(key % 5) * 31;

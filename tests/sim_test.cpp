@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -129,11 +130,105 @@ TEST(Queue, FifoOrderAndStats)
         q.commit();
     }
     for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(q.pop().key, i);
+        EXPECT_EQ(q.front().key, i);
+        q.pop();
         q.commit();
     }
     EXPECT_EQ(q.totalFlits(), 3u);
     EXPECT_EQ(q.maxOccupancy(), 3u);
+}
+
+TEST(Queue, InPlacePushesStageUntilCommitInFifoOrder)
+{
+    HardwareQueue q("q", 4);
+    Flit &slot = q.emplace();
+    slot.key = 1;
+    slot.pushField(10);
+    EXPECT_FALSE(q.canPop()); // staged
+    q.commit();
+    // push() returns the staged copy, which the producer may extend.
+    q.push(makeFlit(2, 20)).pushField(21);
+    q.commit();
+    q.pushFlit(3, 30);
+    q.commit();
+    q.pushBoundary();
+    EXPECT_EQ(q.size(), 3u);
+    q.commit();
+    for (const Flit &want : {makeFlit(1, 10), makeFlit(2, 20, 21),
+                             makeFlit(3, 30), makeBoundary()}) {
+        ASSERT_TRUE(q.canPop());
+        EXPECT_EQ(q.front(), want);
+        q.pop();
+        q.commit();
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.totalFlits(), 4u);
+}
+
+TEST(Queue, ReusedSlotLeaksNoStaleFields)
+{
+    // Two slots: after two flits pass, the ring wraps and each new flit
+    // is built in a slot an older flit left behind.
+    HardwareQueue q("q", 2);
+    q.pushFlit(1, 11, 12, 13, 14);
+    q.commit();
+    q.pushBoundary();
+    q.commit();
+    for (int i = 0; i < 2; ++i) {
+        q.pop();
+        q.commit();
+    }
+    Flit &slot = q.emplace(); // the four-field flit's slot
+    EXPECT_EQ(slot, Flit{});
+    slot.key = 7;
+    slot.pushField(70);
+    q.commit();
+    q.pushFlit(8, 80); // the boundary's slot
+    q.commit();
+    EXPECT_EQ(q.front(), makeFlit(7, 70));
+    EXPECT_EQ(q.front().str(), makeFlit(7, 70).str());
+    q.pop();
+    q.commit();
+    EXPECT_EQ(q.front(), makeFlit(8, 80));
+    EXPECT_EQ(q.front().str(), makeFlit(8, 80).str());
+}
+
+/** @return the text of the PanicError `op` throws ("" if none). */
+template <typename Op>
+std::string
+panicText(Op op)
+{
+    try {
+        op();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Queue, InPlacePushesPanicLikePush)
+{
+    setQuiet(true);
+    HardwareQueue full("full", 1);
+    full.push(makeFlit(1));
+    full.commit();
+    HardwareQueue pushed("pushed", 4);
+    pushed.pushFlit(1);
+    HardwareQueue closed("closed", 4);
+    closed.close();
+    closed.commit();
+    const std::pair<HardwareQueue *, std::string> cases[] = {
+        {&full, "panic: push to full queue 'full'"},
+        {&pushed, "panic: push to full queue 'pushed'"},
+        {&closed, "panic: push to closed queue 'closed'"},
+    };
+    for (const auto &[q, text] : cases) {
+        EXPECT_EQ(panicText([q] { q->push(makeFlit(2)); }), text);
+        EXPECT_EQ(panicText([q] { q->emplace(); }), text);
+        EXPECT_EQ(panicText([q] { q->pushFlit(2, 3); }), text);
+        EXPECT_EQ(panicText([q] { q->pushBoundary(); }), text);
+    }
+    setQuiet(false);
 }
 
 TEST(Queue, RingGrowsWhileWrappedKeepsFifoOrder)
@@ -478,7 +573,8 @@ class EchoThroughMemory final : public Module
             }
             return;
         }
-        held_ = in_->pop();
+        held_ = in_->front();
+        in_->pop();
         port_->issue(static_cast<uint64_t>(held_->key) * 64, 64, false);
         waiting_ = true;
     }
@@ -735,7 +831,8 @@ class SleepyMemoryEcho final : public Module
             }
             return;
         }
-        held_ = in_->pop();
+        held_ = in_->front();
+        in_->pop();
         port_->issue(static_cast<uint64_t>(held_->key) * 64, 64, false);
         waiting_ = true;
     }

@@ -63,7 +63,8 @@ class VectorSink : public sim::Module
     tick() override
     {
         if (in_->canPop()) {
-            collected_.push_back(in_->pop());
+            collected_.push_back(in_->front());
+            in_->pop();
             return;
         }
         if (in_->drained())

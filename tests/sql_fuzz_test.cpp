@@ -243,8 +243,8 @@ class QueryGen
                 " AS PosExplode (t.SEQ, t.POS) FROM t";
           case 6:
             return "CREATE TABLE re" + std::to_string(rng_.below(10)) +
-                " AS ReadExplode (x.POS, x.CIGAR, x.SEQ, x.QUAL)"
-                " FROM x";
+                " AS ReadExplode (aln.POS, aln.CIGAR, aln.SEQ, aln.QUAL)"
+                " FROM aln";
           case 7:
             return windowProbe();
           case 8:
@@ -531,6 +531,7 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     int executed = 0;
     int fig4_explodes = 0; // runnable Figure-4 bodies of each kind
     int fig4_windows = 0;
+    int read_explodes = 0; // runnable scripts with a top-level explode
     for (int trial = 0; trial < 60; ++trial) {
         std::string text = gen.script();
         engine::ExecConfig naive_cfg;
@@ -544,6 +545,10 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
             const bool explode =
                 text.find("ReadExplode (Row") != std::string::npos;
             ++(explode ? fig4_explodes : fig4_windows);
+        }
+        if (!naive.fatal &&
+            text.find("ReadExplode (aln.") != std::string::npos) {
+            ++read_explodes;
         }
 
         for (uint32_t rule : kRules) {
@@ -581,6 +586,7 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     EXPECT_GT(executed, 10);
     EXPECT_GT(fig4_explodes, 0);
     EXPECT_GT(fig4_windows, 0);
+    EXPECT_GT(read_explodes, 0);
 }
 
 } // namespace

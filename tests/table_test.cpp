@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for src/table: values, columns (incl. device serialisation),
- * schemas, tables, the Table-I genomic schemas, and the partitioner.
+ * schemas, tables, table stats, the Table-I genomic schemas, and the
+ * partitioner.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <unordered_set>
+
 #include "base/logging.h"
+#include "base/rng.h"
 #include "sim_test_utils.h"
 #include "table/genomic_schema.h"
 #include "table/partition.h"
+#include "table/stats.h"
 #include "table/table.h"
 
 namespace genesis::table {
@@ -174,6 +180,87 @@ TEST(Table, EmptyLikeCopiesSchemaOnly)
     EXPECT_EQ(e.numRows(), 0u);
     EXPECT_EQ(e.schema(), t.schema());
     EXPECT_EQ(e.name(), "e");
+}
+
+/** A scalar column's stats by their definition, over a node-based set. */
+ColumnStats
+nodeSetStats(const std::vector<int64_t> &values,
+             const std::vector<bool> &nulls)
+{
+    ColumnStats s;
+    s.rowCount = static_cast<int64_t>(values.size());
+    std::unordered_set<int64_t> seen;
+    for (size_t r = 0; r < values.size(); ++r) {
+        if (nulls[r]) {
+            ++s.nullCount;
+            continue;
+        }
+        const int64_t v = values[r];
+        if (!s.hasRange) {
+            s.hasRange = true;
+            s.minValue = s.maxValue = v;
+        }
+        s.minValue = std::min(s.minValue, v);
+        s.maxValue = std::max(s.maxValue, v);
+        if (seen.size() < kDistinctCap)
+            seen.insert(v);
+    }
+    s.hasDistinct = true;
+    s.distinct = static_cast<int64_t>(seen.size());
+    return s;
+}
+
+TEST(TableStats, ScalarColumnsMatchTheNodeSetDefinition)
+{
+    // Unsorted random columns with NULLs: full-range values, values
+    // drawn from a small range (many duplicates), and columns with more
+    // than kDistinctCap distinct values, where the count saturates.
+    struct Shape {
+        size_t rows;
+        uint64_t range; ///< values in [-range/2, range/2); 0 = any
+    };
+    const Shape shapes[] = {
+        {0, 0},    {1, 0},       {3, 0},
+        {7, 3},    {500, 50},    {5000, 0},
+        {2 * kDistinctCap, 0}, {3 * kDistinctCap, 2 * kDistinctCap},
+    };
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    Rng rng(2020);
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(std::to_string(shape.rows) + " rows, range " +
+                     std::to_string(shape.range));
+        std::vector<int64_t> values(shape.rows);
+        std::vector<bool> nulls(shape.rows);
+        for (size_t r = 0; r < shape.rows; ++r) {
+            nulls[r] = rng.below(8) == 0;
+            values[r] = shape.range == 0
+                ? static_cast<int64_t>(rng.next())
+                : static_cast<int64_t>(rng.below(shape.range)) -
+                    static_cast<int64_t>(shape.range / 2);
+        }
+        // The int64_t extremes, twice for the minimum.
+        for (size_t r = 0; r < std::min<size_t>(shape.rows, 3); ++r) {
+            values[r] = r == 1 ? kMax : kMin;
+            nulls[r] = false;
+        }
+        const ColumnStats want = nodeSetStats(values, nulls);
+        Table t("t", Schema{{"V", DataType::Int64}},
+                {Column("V", DataType::Int64, values, nulls)});
+        const TableStats stats = collectTableStats(t);
+        EXPECT_EQ(stats.rowCount, static_cast<int64_t>(shape.rows));
+        const ColumnStats *got = stats.column("V");
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->rowCount, want.rowCount);
+        EXPECT_EQ(got->nullCount, want.nullCount);
+        EXPECT_EQ(got->hasRange, want.hasRange);
+        EXPECT_EQ(got->minValue, want.minValue);
+        EXPECT_EQ(got->maxValue, want.maxValue);
+        EXPECT_EQ(got->hasDistinct, want.hasDistinct);
+        EXPECT_EQ(got->distinct, want.distinct);
+        if (shape.rows >= 2 * kDistinctCap)
+            EXPECT_EQ(got->distinct, static_cast<int64_t>(kDistinctCap));
+    }
 }
 
 TEST(GenomicSchema, ReadsTableMatchesTableI)

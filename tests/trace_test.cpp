@@ -232,8 +232,8 @@ class TracedWorker final : public sim::Module
             countStall(stallBackpressure_);
             return;
         }
-        sim::Flit flit = in_->pop();
-        out_->push(flit);
+        in_->pop();
+        const sim::Flit &flit = out_->push(in_->front());
         countFlit();
         port_->issue(static_cast<uint64_t>(flit.key) * 64, 64, false);
         waiting_ = true;
