@@ -95,7 +95,9 @@ matchCountsSqlEngine(const std::vector<genome::AlignedRead> &reads,
     executor.env().variables["P"] = table::Value(partition.pid);
     executor.env().variables["WSTART"] =
         table::Value(partition.windowStart);
-    executor.run(matchCountQueryText());
+    // One parse per process: a pass runs the script once per partition.
+    static const sql::Script script = sql::parseScript(matchCountQueryText());
+    executor.runScript(script);
 
     const table::Table *output = catalog.find("Output");
     std::vector<int64_t> counts;

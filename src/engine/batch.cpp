@@ -88,13 +88,35 @@ void
 ColumnChunk::gatherPadded(const ColumnChunk &src,
                           const std::vector<ssize_t> &idx)
 {
-    reserve(size() + idx.size());
-    for (ssize_t i : idx) {
-        if (i < 0)
-            pushNull();
-        else
-            appendFrom(src, static_cast<size_t>(i));
+    if (!intMode || !src.intMode) {
+        reserve(size() + idx.size());
+        for (ssize_t i : idx) {
+            if (i < 0)
+                pushNull();
+            else
+                appendFrom(src, static_cast<size_t>(i));
+        }
+        return;
     }
+    // Int to int in one pass; the null mask grows only once a gathered
+    // cell is NULL.
+    const size_t base = ints.size();
+    const size_t end = base + idx.size();
+    ints.resize(end);
+    const bool src_nulls = !src.nulls.empty();
+    for (size_t k = 0; k < idx.size(); ++k) {
+        const ssize_t i = idx[k];
+        if (i >= 0 && !(src_nulls && src.nulls[static_cast<size_t>(i)])) {
+            ints[base + k] = src.ints[static_cast<size_t>(i)];
+            continue;
+        }
+        ints[base + k] = 0;
+        if (nulls.size() < end)
+            nulls.resize(end, false);
+        nulls[base + k] = true;
+    }
+    if (!nulls.empty())
+        nulls.resize(end, false);
 }
 
 void

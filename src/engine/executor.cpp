@@ -238,67 +238,44 @@ Executor::execStatement(const sql::Statement &stmt)
     panic("unhandled statement kind");
 }
 
-/**
- * One execution of a FOR loop: its prepared plans, and the running
- * iteration's temp scope and row binding. The destructor unwinds all of
- * it however the loop ends, so a failing body leaves no binding to the
- * destroyed loop snapshot and no temp table behind. An enclosing loop's
- * binding of the same variable name is hidden while a row runs and
- * restored after it.
- */
-class Executor::LoopState
+Executor::LoopState::LoopState(Executor &exec, const std::string &var)
+    : exec_(exec), var_(var), outerPlans_(exec.loopPlans_)
 {
-  public:
-    LoopState(Executor &exec, const std::string &var)
-        : exec_(exec), var_(var), outerPlans_(exec.loopPlans_)
-    {
-        exec_.loopPlans_ = &plans_;
-        auto outer = exec_.env_.rowBindings.find(var_);
-        if (outer != exec_.env_.rowBindings.end())
-            outerBinding_ = outer->second;
-    }
+    exec_.loopPlans_ = &plans_;
+    auto outer = exec_.env_.rowBindings.find(var_);
+    if (outer != exec_.env_.rowBindings.end())
+        outerBinding_ = outer->second;
+}
 
-    ~LoopState()
-    {
-        endRow();
-        exec_.loopPlans_ = outerPlans_;
-    }
+Executor::LoopState::~LoopState()
+{
+    endRow();
+    exec_.loopPlans_ = outerPlans_;
+}
 
-    LoopState(const LoopState &) = delete;
-    LoopState &operator=(const LoopState &) = delete;
+void
+Executor::LoopState::beginRow(const Table &table, size_t row)
+{
+    exec_.tempScopes_.emplace_back();
+    inRow_ = true;
+    exec_.env_.rowBindings[var_] = {&table, row};
+}
 
-    void
-    beginRow(const Table &table, size_t row)
-    {
-        exec_.tempScopes_.emplace_back();
-        inRow_ = true;
-        exec_.env_.rowBindings[var_] = {&table, row};
-    }
-
-    void
-    endRow()
-    {
-        if (!inRow_)
-            return;
-        inRow_ = false;
-        if (outerBinding_)
-            exec_.env_.rowBindings[var_] = *outerBinding_;
-        else
-            exec_.env_.rowBindings.erase(var_);
-        exec_.tempScopes_.pop_back();
-        // Names of the popped scope may shadow others; drop the whole
-        // temp-stats cache rather than track shadowing.
-        exec_.tempStatsCache_.clear();
-    }
-
-  private:
-    Executor &exec_;
-    const std::string &var_;
-    PreparedPlans plans_;
-    PreparedPlans *outerPlans_;
-    std::optional<VariableEnv::RowBinding> outerBinding_;
-    bool inRow_ = false;
-};
+void
+Executor::LoopState::endRow()
+{
+    if (!inRow_)
+        return;
+    inRow_ = false;
+    if (outerBinding_)
+        exec_.env_.rowBindings[var_] = *outerBinding_;
+    else
+        exec_.env_.rowBindings.erase(var_);
+    exec_.tempScopes_.pop_back();
+    // Names of the popped scope may shadow others; drop the whole
+    // temp-stats cache rather than track shadowing.
+    exec_.tempStatsCache_.clear();
+}
 
 std::optional<Table>
 Executor::execForLoop(const sql::Statement &stmt)
@@ -308,6 +285,8 @@ Executor::execForLoop(const sql::Statement &stmt)
         fatal("FOR loop over unknown table '%s'", stmt.loopTable.c_str());
     // The loop table may be replaced inside the body; iterate a copy.
     Table snapshot = *source;
+    if (config_.vectorize && VecExecutor(*this).runLoop(stmt, snapshot))
+        return std::nullopt;
     std::optional<Table> last;
     LoopState loop(*this, stmt.loopVar);
     for (size_t row = 0; row < snapshot.numRows(); ++row) {
@@ -384,9 +363,11 @@ Executor::aliasesOf(const PlanNode &plan)
     std::vector<std::string> aliases;
     if (!plan.alias.empty())
         aliases.push_back(plan.alias);
-    if (plan.kind == PlanKind::Scan) {
-        if (plan.tableName != plan.alias)
-            aliases.push_back(plan.tableName);
+    if (plan.kind == PlanKind::Scan || !plan.inlinedTemp.empty()) {
+        const std::string &name =
+            plan.inlinedTemp.empty() ? plan.tableName : plan.inlinedTemp;
+        if (name != plan.alias)
+            aliases.push_back(name);
         return aliases;
     }
     for (const auto &child : plan.children) {
@@ -924,22 +905,32 @@ Executor::posExplode(const PlanNode &plan, const Table &input)
 Batch
 Executor::readExplode(const PlanNode &plan, const Table &input)
 {
+    Batch out;
+    readExplodeInto(plan, input, {0, input.numRows()}, out);
+    return out;
+}
+
+void
+Executor::readExplodeInto(const PlanNode &plan, const Table &input,
+                          RowWindow rows, Batch &out)
+{
     auto aliases = aliasesOf(*plan.children[0]);
     TableRowResolver resolver(input, aliases);
     bool has_qual = plan.outputs.size() >= 4;
 
-    Batch out;
-    out.schema.addField("POS", DataType::Int64);
-    out.schema.addField("BP", DataType::Int64);
-    if (has_qual)
-        out.schema.addField("QUAL", DataType::Int64);
-    out.schema.addField("CYCLE", DataType::Int64);
-    out.columns.assign(out.schema.size(), ColumnChunk::makeInt());
+    if (out.columns.empty()) {
+        out.schema.addField("POS", DataType::Int64);
+        out.schema.addField("BP", DataType::Int64);
+        if (has_qual)
+            out.schema.addField("QUAL", DataType::Int64);
+        out.schema.addField("CYCLE", DataType::Int64);
+        out.columns.assign(out.schema.size(), ColumnChunk::makeInt());
+    }
     ColumnChunk &pos_col = out.columns[0];
     ColumnChunk &bp_col = out.columns[1];
     ColumnChunk &cycle_col = out.columns.back();
 
-    for (size_t r = 0; r < input.numRows(); ++r) {
+    for (size_t r = rows.first; r < rows.end; ++r) {
         resolver.setRow(r);
         int64_t pos =
             evalExpr(*plan.outputs[0].expr, &resolver, env_).asInt();
@@ -981,7 +972,6 @@ Executor::readExplode(const PlanNode &plan, const Table &input)
         }
     }
     out.rows = pos_col.size();
-    return out;
 }
 
 } // namespace genesis::engine

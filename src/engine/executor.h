@@ -131,15 +131,49 @@ class Executor
      */
     sql::StatsProvider statsProvider();
 
-    /** Qualifier aliases a plan subtree's output answers to. */
+    /**
+     * Qualifier aliases a plan subtree's output answers to. A fused temp
+     * table's plan (sql::PlanNode::inlinedTemp) answers to the names of
+     * the scan it replaced, as the loop row that reads the temp sees it.
+     */
     static std::vector<std::string> aliasesOf(const sql::PlanNode &plan);
+
+    /** FOR loops this executor ran set-at-a-time (VecExecutor::runLoop). */
+    uint64_t setAtATimeLoops() const { return setAtATimeLoops_; }
 
   private:
     friend class VecExecutor;
 
-    class LoopState;
     /** Plans prepared for a FOR body's SELECTs, keyed by statement. */
     using PreparedPlans = std::map<const sql::SelectStmt *, sql::PlanPtr>;
+
+    /**
+     * One execution of a FOR loop: its prepared plans, and the running
+     * iteration's temp scope and row binding. The destructor unwinds all
+     * of it however the loop ends, so a failing body leaves no binding to
+     * the destroyed loop snapshot and no temp table behind. An enclosing
+     * loop's binding of the same variable name is hidden while a row runs
+     * and restored after it.
+     */
+    class LoopState
+    {
+      public:
+        LoopState(Executor &exec, const std::string &var);
+        ~LoopState();
+        LoopState(const LoopState &) = delete;
+        LoopState &operator=(const LoopState &) = delete;
+
+        void beginRow(const table::Table &table, size_t row);
+        void endRow();
+
+      private:
+        Executor &exec_;
+        const std::string &var_;
+        PreparedPlans plans_;
+        PreparedPlans *outerPlans_;
+        std::optional<VariableEnv::RowBinding> outerBinding_;
+        bool inRow_ = false;
+    };
 
     std::optional<table::Table>
     execStatement(const sql::Statement &stmt);
@@ -168,6 +202,14 @@ class Executor
      */
     Batch posExplode(const sql::PlanNode &plan, const table::Table &input);
     Batch readExplode(const sql::PlanNode &plan, const table::Table &input);
+
+    /**
+     * Append the ReadExplode rows of input rows [rows.first, rows.end) to
+     * `out`, giving it the explode's columns first when it has none.
+     */
+    void readExplodeInto(const sql::PlanNode &plan,
+                         const table::Table &input, RowWindow rows,
+                         Batch &out);
 
     /**
      * Rows a LIMIT node keeps of a `rows`-row input: its offset and
@@ -239,6 +281,7 @@ class Executor
      */
     PreparedPlans *loopPlans_ = nullptr;
     std::map<std::string, CustomOp> customOps_;
+    uint64_t setAtATimeLoops_ = 0;
 };
 
 } // namespace genesis::engine

@@ -257,43 +257,49 @@ VecExecutor::tryFastExpr(const sql::Expr &expr, const Batch &in,
         auto r = tryFastExpr(*expr.args[1], in, first, count, aliases);
         if (!r)
             return std::nullopt;
+        // Same semantics as evalBinary(): AND/OR treat NULL as false and
+        // never yield NULL; everything else propagates NULL operands.
+        enum class Op { And, Or, Eq, Ne, Lt, Gt, Le, Ge, Arith };
+        const std::string &name = expr.op;
+        const Op op = name == "AND" ? Op::And
+            : name == "OR"          ? Op::Or
+            : name == "=="          ? Op::Eq
+            : name == "!="          ? Op::Ne
+            : name == "<"           ? Op::Lt
+            : name == ">"           ? Op::Gt
+            : name == "<="          ? Op::Le
+            : name == ">="          ? Op::Ge
+                                    : Op::Arith;
+        const bool maybe_null = !l->nulls.empty() || !r->nulls.empty();
         ColumnChunk out = ColumnChunk::makeInt();
-        out.ints.reserve(count);
-        const std::string &op = expr.op;
+        out.ints.resize(count);
         for (size_t i = 0; i < count; ++i) {
-            bool ln = l->nullAt(i);
-            bool rn = r->nullAt(i);
-            int64_t a = l->ints[i];
-            int64_t b = r->ints[i];
-            // Same semantics as evalBinary(): AND/OR treat NULL as
-            // false and never yield NULL; everything else propagates
-            // NULL operands.
-            if (op == "AND") {
-                out.pushInt((!ln && a != 0) && (!rn && b != 0));
-                continue;
-            }
-            if (op == "OR") {
-                out.pushInt((!ln && a != 0) || (!rn && b != 0));
+            const bool ln = maybe_null && l->nullAt(i);
+            const bool rn = maybe_null && r->nullAt(i);
+            const int64_t a = l->ints[i];
+            const int64_t b = r->ints[i];
+            if (op == Op::And || op == Op::Or) {
+                const bool x = !ln && a != 0;
+                const bool y = !rn && b != 0;
+                out.ints[i] = op == Op::And ? x && y : x || y;
                 continue;
             }
             if (ln || rn) {
-                out.pushNull();
+                if (out.nulls.empty())
+                    out.nulls.assign(count, false);
+                out.nulls[i] = true;
+                out.ints[i] = 0;
                 continue;
             }
-            if (op == "==")
-                out.pushInt(a == b);
-            else if (op == "!=")
-                out.pushInt(a != b);
-            else if (op == "<")
-                out.pushInt(a < b);
-            else if (op == ">")
-                out.pushInt(a > b);
-            else if (op == "<=")
-                out.pushInt(a <= b);
-            else if (op == ">=")
-                out.pushInt(a >= b);
-            else
-                out.pushInt(checkedArith(op[0], a, b));
+            switch (op) {
+              case Op::Eq: out.ints[i] = a == b; break;
+              case Op::Ne: out.ints[i] = a != b; break;
+              case Op::Lt: out.ints[i] = a < b; break;
+              case Op::Gt: out.ints[i] = a > b; break;
+              case Op::Le: out.ints[i] = a <= b; break;
+              case Op::Ge: out.ints[i] = a >= b; break;
+              default: out.ints[i] = checkedArith(name[0], a, b); break;
+            }
         }
         return out;
       }
@@ -349,7 +355,12 @@ VecExecutor::evalFilter(const PlanNode &plan)
 Batch
 VecExecutor::evalProject(const PlanNode &plan)
 {
-    Batch in = evalPlan(*plan.children[0]);
+    return project(plan, evalPlan(*plan.children[0]));
+}
+
+Batch
+VecExecutor::project(const PlanNode &plan, const Batch &in)
+{
     auto aliases = Executor::aliasesOf(*plan.children[0]);
 
     Batch out;
@@ -360,21 +371,39 @@ VecExecutor::evalProject(const PlanNode &plan)
         out.schema.addField(
             name, exec_.inferType(*plan.outputs[i].expr, in.schema));
     }
+    // A bare column reference (not to a loop row) copies its column
+    // whole; it cannot fail, so the others' errors keep their order.
+    std::vector<const ColumnChunk *> whole(plan.outputs.size(), nullptr);
+    for (size_t i = 0; i < plan.outputs.size() && in.rows > 0; ++i) {
+        const sql::Expr &e = *plan.outputs[i].expr;
+        if (e.kind != sql::ExprKind::ColumnRef ||
+            exec_.env_.rowBindings.count(e.qualifier)) {
+            continue;
+        }
+        int idx = resolveColumnIndex(in.schema, aliases, e.qualifier, e.name);
+        if (idx >= 0)
+            whole[i] = &in.columns[static_cast<size_t>(idx)];
+    }
+    // Zero input rows: still one (empty, boxed) chunk per output.
+    out.columns.resize(plan.outputs.size());
     for (size_t first = 0; first < in.rows; first += kBatchRows) {
         size_t count = std::min(kBatchRows, in.rows - first);
         for (size_t i = 0; i < plan.outputs.size(); ++i) {
+            if (whole[i])
+                continue;
             ColumnChunk chunk = evalExprBatch(*plan.outputs[i].expr, in,
                                               first, count, aliases);
-            if (out.columns.size() <= i)
-                out.columns.push_back(std::move(chunk));
+            if (first == 0)
+                out.columns[i] = std::move(chunk);
             else
                 out.columns[i].appendChunk(chunk);
         }
         out.rows += count;
     }
-    // Zero input rows: still materialize one (empty) chunk per output.
-    while (out.columns.size() < plan.outputs.size())
-        out.columns.push_back(ColumnChunk::makeBoxed());
+    for (size_t i = 0; i < whole.size(); ++i) {
+        if (whole[i])
+            out.columns[i] = *whole[i];
+    }
     return out;
 }
 
@@ -478,7 +507,15 @@ VecExecutor::evalJoin(const PlanNode &plan)
                 emit(-1, static_cast<ssize_t>(r));
         }
     }
+    return joinedBatch(plan, left, right, lidx, ridx);
+}
 
+Batch
+VecExecutor::joinedBatch(const PlanNode &plan, const Batch &left,
+                         const Batch &right,
+                         const std::vector<ssize_t> &lidx,
+                         const std::vector<ssize_t> &ridx)
+{
     Batch out;
     out.schema = Executor::joinSchema(
         left.schema, right.schema,

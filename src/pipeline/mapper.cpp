@@ -24,61 +24,10 @@ using sql::PlanKind;
 using sql::PlanNode;
 using sql::PlanPtr;
 
-// --- Script fusion -------------------------------------------------------
-
-namespace {
-
-/** Replace scans of temp tables with the plans that created them. */
-void
-inlineTempScans(PlanNode &node,
-                const std::map<std::string, const sql::SelectStmt *>
-                    &temp_defs)
-{
-    for (auto &child : node.children) {
-        if (child->kind == PlanKind::Scan) {
-            auto it = temp_defs.find(child->tableName);
-            if (it != temp_defs.end()) {
-                std::string alias = child->alias.empty()
-                    ? child->tableName : child->alias;
-                child = sql::planSelect(*it->second);
-                child->alias = alias;
-                inlineTempScans(*child, temp_defs);
-                continue;
-            }
-        }
-        inlineTempScans(*child, temp_defs);
-    }
-}
-
-} // namespace
-
 PlanPtr
 fuseScriptToPlan(const sql::Script &script)
 {
-    const sql::Statement *loop = nullptr;
-    for (const auto &stmt : script.statements) {
-        if (stmt->kind == sql::StatementKind::ForLoop)
-            loop = stmt.get();
-    }
-    if (!loop)
-        fatal("script has no FOR loop to fuse");
-
-    std::map<std::string, const sql::SelectStmt *> temp_defs;
-    const sql::Statement *sink = nullptr;
-    for (const auto &stmt : loop->body) {
-        if (stmt->kind == sql::StatementKind::CreateTableAs &&
-            stmt->targetIsTemp) {
-            temp_defs[stmt->target] = stmt->select.get();
-        } else if (stmt->kind == sql::StatementKind::InsertInto) {
-            sink = stmt.get();
-        }
-    }
-    if (!sink)
-        fatal("FOR loop has no INSERT INTO sink to map");
-
-    PlanPtr plan = sql::planSelect(*sink->select);
-    inlineTempScans(*plan, temp_defs);
-    return plan;
+    return sql::fuseScript(script);
 }
 
 // --- Plan lowering ---------------------------------------------------------

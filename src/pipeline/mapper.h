@@ -50,10 +50,8 @@ struct MappedQuery {
 };
 
 /**
- * Fuse a parsed Figure-4-style script into one logical plan: the last
- * INSERT inside the FOR loop is the root; scans of loop-local temp
- * tables are replaced by the plans that created them.
- * Throws FatalError when the script has no FOR loop with a final INSERT.
+ * Fuse a parsed Figure-4-style script into one logical plan; forwards to
+ * sql::fuseScript(), the fusion the software engine shares.
  */
 sql::PlanPtr fuseScriptToPlan(const sql::Script &script);
 

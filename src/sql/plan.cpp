@@ -1,5 +1,6 @@
 #include "sql/plan.h"
 
+#include <map>
 #include <sstream>
 
 #include "base/logging.h"
@@ -108,6 +109,7 @@ PlanNode::clone() const
     copy->kind = kind;
     copy->tableName = tableName;
     copy->alias = alias;
+    copy->inlinedTemp = inlinedTemp;
     if (partition)
         copy->partition = partition->clone();
     for (const auto &o : outputs)
@@ -267,6 +269,67 @@ planSelect(const SelectStmt &select)
         plan = std::move(node);
     }
 
+    return plan;
+}
+
+namespace {
+
+/** Replace unpartitioned scans of `temps` with the plans that made them. */
+void
+inlineTemps(PlanPtr &node, const std::map<std::string, PlanPtr> &temps)
+{
+    if (node->kind != PlanKind::Scan) {
+        for (auto &child : node->children)
+            inlineTemps(child, temps);
+        return;
+    }
+    auto it = temps.find(node->tableName);
+    if (it == temps.end() || node->partition)
+        return;
+    std::string alias = node->alias.empty() ? node->tableName : node->alias;
+    std::string temp = node->tableName;
+    node = it->second->clone();
+    node->alias = std::move(alias);
+    node->inlinedTemp = std::move(temp);
+}
+
+} // namespace
+
+PlanPtr
+fuseLoopBody(const Statement &loop)
+{
+    // Temps are fused in body order, so a statement sees the temps made
+    // before it, as the loop's rows do; a later CREATE replaces one.
+    std::map<std::string, PlanPtr> temps;
+    PlanPtr sink;
+    for (const auto &stmt : loop.body) {
+        const bool temp = stmt->kind == StatementKind::CreateTableAs &&
+            stmt->targetIsTemp;
+        if (!temp && stmt->kind != StatementKind::InsertInto)
+            continue;
+        PlanPtr plan = planSelect(*stmt->select);
+        inlineTemps(plan, temps);
+        if (temp)
+            temps[stmt->target] = std::move(plan);
+        else
+            sink = std::move(plan);
+    }
+    return sink;
+}
+
+PlanPtr
+fuseScript(const Script &script)
+{
+    const Statement *loop = nullptr;
+    for (const auto &stmt : script.statements) {
+        if (stmt->kind == StatementKind::ForLoop)
+            loop = stmt.get();
+    }
+    if (!loop)
+        fatal("script has no FOR loop to fuse");
+    PlanPtr plan = fuseLoopBody(*loop);
+    if (!plan)
+        fatal("FOR loop has no INSERT INTO sink to map");
     return plan;
 }
 

@@ -58,6 +58,12 @@ struct PlanNode {
     std::string tableName;
     ExprPtr partition; ///< PARTITION (expr); may be null
     std::string alias; ///< qualifier this subtree's columns answer to
+    /**
+     * Set by fuseLoopBody() on a subtree it put in place of a scan of a
+     * loop temp table: that table's name. Like the scan it replaced, the
+     * subtree answers to `alias` and this name only.
+     */
+    std::string inlinedTemp;
 
     // Project / Aggregate
     std::vector<OutputColumn> outputs;
@@ -95,6 +101,22 @@ struct PlanNode {
  * select list; joins lower to binary Join nodes left-deep.
  */
 PlanPtr planSelect(const SelectStmt &select);
+
+/**
+ * Fuse a FOR loop's body into one plan: the body's last INSERT INTO
+ * select is the root, and each unpartitioned scan of a temp table that
+ * an earlier body statement created becomes the (itself fused) plan that
+ * created it. The software engine and the hardware mapper share this
+ * fusion. @return nullptr when the body has no INSERT INTO.
+ */
+PlanPtr fuseLoopBody(const Statement &loop);
+
+/**
+ * fuseLoopBody() of the script's last top-level FOR loop (Figure 4's
+ * per-read loop). Throws FatalError when the script has no FOR loop or
+ * its body has no INSERT INTO.
+ */
+PlanPtr fuseScript(const Script &script);
 
 /** @return true when the expression contains an aggregate call. */
 bool containsAggregate(const Expr &expr);

@@ -13,6 +13,7 @@
 
 #include "base/logging.h"
 #include "engine/executor.h"
+#include "genome/cigar.h"
 #include "modules/filter.h"
 #include "modules/memory_reader.h"
 #include "modules/memory_writer.h"
@@ -88,6 +89,119 @@ class EngineEdge : public ::testing::Test
         EXPECT_EQ(text[0], text[1]) << sql;
         return text[1];
     }
+
+    /**
+     * Aligned reads `rd` (K, POS, CIGAR, SEQ) and a reference `ref` (POS,
+     * SEQ) whose positions are unsorted, repeated, sparse and NULL once,
+     * for Figure-4-shaped loops; `rd0` is `rd` with no rows.
+     */
+    void
+    addFigure4Tables()
+    {
+        Table rd("rd", Schema{{"K", DataType::Int64},
+                              {"POS", DataType::UInt32},
+                              {"CIGAR", DataType::Array16},
+                              {"SEQ", DataType::Array8}});
+        catalog_.put("rd0", rd);
+        auto read = [&](int64_t k, int64_t pos, const char *cigar,
+                        table::Blob seq) {
+            table::Blob packed;
+            for (uint16_t e : genome::Cigar::parse(cigar).packAll())
+                packed.push_back(e);
+            rd.appendRow({Value(k), Value(pos), Value(std::move(packed)),
+                          Value(std::move(seq))});
+        };
+        read(4, 10, "4M", {0, 1, 2, 3});
+        read(100, 12, "2M1I2M", {1, 1, 2, 0, 3}); // a NULL-POS base
+        read(3, 30, "3M", {2, 2, 2});             // window past the end
+        read(0, 11, "2M2D2M", {3, 0, 1, 2});      // NULL-BP bases
+        catalog_.put("rd", std::move(rd));
+
+        Table ref("ref", Schema{{"POS", DataType::Int64},
+                                {"SEQ", DataType::Int64}});
+        const std::optional<int64_t> cells[][2] = {
+            {13, 1}, {10, 0}, {11, 1}, {12, 2}, {13, 3},
+            {12, 1}, {40, 2}, {{}, 1}, {11, 0}, {14, 3},
+        };
+        for (const auto &row : cells) {
+            ref.appendRow({row[0] ? Value(*row[0]) : Value(),
+                           Value(*row[1])});
+        }
+        catalog_.put("ref", std::move(ref));
+    }
+
+    /** What a script leaves behind in one engine. */
+    struct LoopRun {
+        std::string error; ///< FatalError text; empty when none
+        std::optional<Table> output; ///< the Output table, when made
+        Value n;                     ///< @n afterwards
+        uint64_t setLoops = 0;
+    };
+
+    LoopRun
+    runLoop(bool vectorize, const std::string &sql)
+    {
+        engine::Catalog cat = catalog_;
+        engine::ExecConfig cfg;
+        cfg.vectorize = vectorize;
+        engine::Executor executor(cat, cfg);
+        LoopRun run;
+        try {
+            executor.run("DECLARE @n int; SET @n = 5; " + sql);
+        } catch (const FatalError &e) {
+            run.error = e.what();
+        }
+        if (const Table *o = cat.find("Output"))
+            run.output = *o;
+        run.n = executor.env().variable("n");
+        run.setLoops = executor.setAtATimeLoops();
+        return run;
+    }
+
+    /**
+     * Run `sql` in both engines, expect the same error, Output (schema,
+     * rows, order, NULLs) and @n, and return the vectorized run.
+     */
+    LoopRun
+    sameInBothEngines(const std::string &sql)
+    {
+        LoopRun row = runLoop(false, sql);
+        LoopRun vec = runLoop(true, sql);
+        EXPECT_EQ(row.setLoops, 0u);
+        EXPECT_EQ(row.error, vec.error) << sql;
+        EXPECT_EQ(row.output.has_value(), vec.output.has_value()) << sql;
+        if (row.output && vec.output) {
+            EXPECT_TRUE(row.output->schema() == vec.output->schema());
+            EXPECT_TRUE(row.output->contentEquals(*vec.output))
+                << sql << "\n" << row.output->str() << vec.output->str();
+        }
+        EXPECT_TRUE(row.n == vec.n) << sql;
+        return vec;
+    }
+
+    /**
+     * A Figure-4 body over `loop_table`: `set` first, the explode, the
+     * join with `window`, the INSERT of `aggs` into `target`, then `tail`.
+     */
+    static std::string
+    figure4Loop(const std::string &loop_table, const std::string &set,
+                const std::string &window, const std::string &aggs,
+                const std::string &target = "Output",
+                const std::string &tail = "")
+    {
+        return "FOR r IN " + loop_table + ":\n" + set +
+            "  CREATE TABLE #a AS ReadExplode (r.POS, r.CIGAR, r.SEQ) "
+            "FROM r;\n"
+            "  CREATE TABLE #j AS SELECT #a.BP AS x, ref.SEQ AS y FROM #a "
+            "INNER JOIN " + window + " ON #a.POS = ref.POS;\n"
+            "  INSERT INTO " + target + " SELECT " + aggs + " FROM #j;\n" +
+            tail + "END LOOP;";
+    }
+
+    static constexpr const char *kWindow =
+        "(SELECT * FROM ref LIMIT (r.POS - 10), @n)";
+    static constexpr const char *kAggs =
+        "SUM(#j.x == #j.y), COUNT(*), MIN(#j.y), MAX(#j.x)";
 
     engine::Catalog catalog_;
 };
@@ -310,6 +424,160 @@ TEST_F(EngineEdge, NestedLoopRestoresTheOuterRowBinding)
         EXPECT_EQ(got, (std::vector<int64_t>{10, 20, 10, 10, 20, 20}));
         catalog_.erase("o");
     }
+}
+
+TEST_F(EngineEdge, SetLoopOverZeroRowsChangesNothing)
+{
+    addFigure4Tables();
+    LoopRun run = sameInBothEngines(
+        figure4Loop("rd0", "  SET @n = r.K;\n", kWindow, kAggs));
+    EXPECT_EQ(run.error, "");
+    EXPECT_FALSE(run.output.has_value());
+    EXPECT_EQ(run.n.asInt(), 5);
+}
+
+TEST_F(EngineEdge, SetLoopRowsWithEmptyAndClampedWindows)
+{
+    // Row 0 windows ref rows [0, 4); row 1's count runs past the end and
+    // clamps to [2, 10); row 2's offset lies past the end; row 3 counts
+    // zero rows. Repeated keys match in reference-row order, and a read's
+    // NULL-POS insertion base matches nothing.
+    addFigure4Tables();
+    LoopRun run = sameInBothEngines(
+        figure4Loop("rd", "  SET @n = r.K;\n", kWindow, kAggs));
+    EXPECT_EQ(run.error, "");
+    EXPECT_EQ(run.setLoops, 1u);
+    ASSERT_TRUE(run.output.has_value());
+    ASSERT_EQ(run.output->numRows(), 4u);
+    // An empty join: SUM 0, COUNT 0, MIN and MAX NULL.
+    for (size_t row : {size_t{2}, size_t{3}}) {
+        EXPECT_EQ(run.output->at(row, 0).asInt(), 0);
+        EXPECT_EQ(run.output->at(row, 1).asInt(), 0);
+        EXPECT_TRUE(run.output->at(row, 2).isNull());
+        EXPECT_TRUE(run.output->at(row, 3).isNull());
+    }
+    // Row 0: bases at 10..13 meet ref rows 1 (10), 2 (11), 0 and 3 (12,
+    // 13 are rows 3 and 0 in the window): four matches.
+    EXPECT_EQ(run.output->at(0, 1).asInt(), 4);
+    EXPECT_EQ(run.n.asInt(), 0); // the last row's SET
+
+    // A SET after the statements that read it: each row's window count
+    // is the one the row before left.
+    run = sameInBothEngines(figure4Loop("rd", "", kWindow, kAggs, "Output",
+                                        "  SET @n = r.K;\n"));
+    EXPECT_EQ(run.setLoops, 1u);
+    // Row 3 windows [1, 4) with row 2's count: bases at 11 and 12 match.
+    EXPECT_EQ(run.output->at(3, 1).asInt(), 2);
+    // No join, and a SET that accumulates.
+    run = sameInBothEngines(
+        "FOR r IN rd:\n"
+        "  CREATE TABLE #a AS ReadExplode (r.POS, r.CIGAR, r.SEQ) FROM r;\n"
+        "  INSERT INTO Output SELECT COUNT(*), COUNT(#a.POS), SUM(#a.BP) "
+        "FROM #a;\n"
+        "  SET @n = @n + r.K;\n"
+        "END LOOP;");
+    EXPECT_EQ(run.setLoops, 1u);
+    EXPECT_EQ(run.n.asInt(), 5 + 4 + 100 + 3 + 0);
+}
+
+TEST_F(EngineEdge, SetLoopJoinsWidelySpreadKeys)
+{
+    // Keys too spread out for an offset table (the int64 extremes, 10^12,
+    // repeats out of order, a NULL) go through the sorted-array index;
+    // windows still apply by row index.
+    addFigure4Tables();
+    Table wide("wide", Schema{{"POS", DataType::Int64},
+                              {"SEQ", DataType::Int64}});
+    const std::optional<int64_t> cells[][2] = {
+        {INT64_MAX, 3}, {12, 2}, {10, 0}, {INT64_MIN, 1}, {12, 1},
+        {{}, 2},        {11, 1}, {1'000'000'000'000, 0}, {13, 3}, {10, 2},
+    };
+    for (const auto &row : cells) {
+        wide.appendRow({row[0] ? Value(*row[0]) : Value(),
+                        Value(*row[1])});
+    }
+    catalog_.put("wide", std::move(wide));
+    // Read 0 (bases at 10..13) windows rows [0, 4): keys 12 and 10 match.
+    LoopRun run = sameInBothEngines(figure4Loop(
+        "rd", "  SET @n = r.K;\n",
+        "(SELECT * FROM wide LIMIT (r.POS - 10), @n) ref", kAggs));
+    EXPECT_EQ(run.setLoops, 1u);
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->at(0, 1).asInt(), 2);
+    // The whole table: 10 twice, 11, 12 twice and 13.
+    run = sameInBothEngines(figure4Loop("rd", "", "wide ref", kAggs));
+    EXPECT_EQ(run.setLoops, 1u);
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->at(0, 1).asInt(), 6);
+}
+
+TEST_F(EngineEdge, SetLoopStaysOnTheLoopWhenTheBodyReadsItsTarget)
+{
+    // INSERT INTO the windowed table: later rows' windows see the rows
+    // earlier ones appended, so the loop keeps running row by row.
+    addFigure4Tables();
+    LoopRun run = sameInBothEngines(figure4Loop(
+        "rd", "  SET @n = 40;\n", kWindow, "MIN(#j.y), COUNT(*)", "ref"));
+    EXPECT_EQ(run.setLoops, 0u);
+    // INSERT INTO the loop table stays on the loop too.
+    run = sameInBothEngines(figure4Loop("rd", "  SET @n = r.K;\n", kWindow,
+                                        kAggs, "rd"));
+    EXPECT_EQ(run.setLoops, 0u);
+    // So does one into a temp the body makes.
+    run = sameInBothEngines(
+        figure4Loop("rd", "  SET @n = r.K;\n", kWindow, kAggs, "j"));
+    EXPECT_EQ(run.setLoops, 0u);
+}
+
+TEST_F(EngineEdge, SetLoopFailureAtRowKMatchesTheLoop)
+{
+    // Row 3's count is -2: the loop appends rows 0 to 2, leaves @n at -2
+    // and raises the LIMIT error; the vectorized engine falls back to the
+    // loop and leaves the same.
+    addFigure4Tables();
+    LoopRun run = sameInBothEngines(
+        figure4Loop("rd", "  SET @n = r.K - 2;\n", kWindow, kAggs));
+    EXPECT_EQ(run.error, "fatal: negative LIMIT offset/count");
+    EXPECT_EQ(run.setLoops, 0u);
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->numRows(), 3u);
+    EXPECT_EQ(run.n.asInt(), -2);
+
+    // A SET that reads its own variable: the loop the vectorized engine
+    // falls back to starts from the variables the set run started from.
+    run = sameInBothEngines(
+        figure4Loop("rd", "  SET @n = @n - 2;\n", kWindow, kAggs));
+    EXPECT_EQ(run.error, "fatal: negative LIMIT offset/count");
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->numRows(), 2u);
+    EXPECT_EQ(run.n.asInt(), -1);
+
+    // A SUM that overflows part-way through a row's matches fails at the
+    // row the loop fails at.
+    run = sameInBothEngines(figure4Loop(
+        "rd", "  SET @n = r.K;\n", kWindow,
+        "COUNT(*), SUM(#j.y + 9223372036854775000)"));
+    EXPECT_EQ(run.error, "fatal: integer overflow in '+'");
+    EXPECT_EQ(run.setLoops, 0u);
+    EXPECT_FALSE(run.output.has_value());
+
+    // A temp column typed Int64 that is handed a string fails where the
+    // loop stores the temp: at row 3, the first with a match.
+    Table names("names", Schema{{"POS", DataType::Int64},
+                                {"NAME", DataType::String}});
+    names.appendRow({Value(16), Value("chr1")});
+    catalog_.put("names", std::move(names));
+    run = sameInBothEngines(
+        "FOR r IN rd:\n"
+        "  CREATE TABLE #a AS ReadExplode (r.POS, r.CIGAR, r.SEQ) FROM r;\n"
+        "  CREATE TABLE #j AS SELECT #a.BP AS x, COALESCE(names.NAME, 1) "
+        "AS y FROM #a LEFT JOIN names ON #a.POS = names.POS;\n"
+        "  INSERT INTO Output SELECT COUNT(*), COUNT(#j.x) FROM #j;\n"
+        "END LOOP;");
+    EXPECT_NE(run.error, "");
+    EXPECT_EQ(run.setLoops, 0u);
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->numRows(), 3u);
 }
 
 TEST_F(EngineEdge, IntExpressionAggregatesMatchTheRowEngine)

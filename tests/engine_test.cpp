@@ -505,6 +505,45 @@ TEST_P(MatchCountQuery, EngineMatchesDirectComputation)
     }
 }
 
+TEST_P(MatchCountQuery, VectorizedEngineRunsTheLoopSetAtATime)
+{
+    // The vectorized engine runs the Figure-4 loop once over the whole
+    // partition; its Output equals the row engine's per-read loop in
+    // schema, rows, order and NULLs.
+    auto w = test::makeSmallWorkload(GetParam(), 60, 30'000, 1);
+    constexpr int64_t kPsize = 10'000;
+    const sql::Script script = sql::parseScript(core::matchCountQueryText());
+    for (const auto &part :
+         table::Partitioner(kPsize).partitionReads(w.reads.reads)) {
+        std::optional<Table> outputs[2];
+        uint64_t set_loops[2] = {};
+        for (bool vectorize : {false, true}) {
+            Catalog cat;
+            cat.putPartition("READS", part.pid,
+                             table::buildReadsTable(w.reads.reads,
+                                                    part.readIndices));
+            cat.putPartition("REF", part.pid,
+                             table::buildRefPartition(w.genome, part.pid,
+                                                      kPsize, 512));
+            ExecConfig cfg;
+            cfg.vectorize = vectorize;
+            Executor exec(cat, cfg);
+            exec.env().variables["P"] = Value(part.pid);
+            exec.env().variables["WSTART"] = Value(part.windowStart);
+            exec.runScript(script);
+            ASSERT_NE(cat.find("Output"), nullptr);
+            outputs[vectorize] = *cat.find("Output");
+            set_loops[vectorize] = exec.setAtATimeLoops();
+        }
+        EXPECT_EQ(set_loops[0], 0u);
+        EXPECT_EQ(set_loops[1], 1u) << "partition " << part.pid;
+        EXPECT_TRUE(outputs[0]->schema() == outputs[1]->schema());
+        EXPECT_EQ(outputs[0]->numRows(), part.readIndices.size());
+        EXPECT_TRUE(outputs[0]->contentEquals(*outputs[1]))
+            << "partition " << part.pid;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchCountQuery,
                          ::testing::Values(1u, 8u, 21u));
 

@@ -47,6 +47,13 @@ class QueryGen
         return out;
     }
 
+    /** One Figure-4-shaped FOR loop (figure4Loop or figure4Window). */
+    std::string
+    loopScript()
+    {
+        return rng_.below(2u) ? figure4Loop() : figure4Window();
+    }
+
   private:
     template <size_t N>
     const char *
@@ -220,10 +227,62 @@ class QueryGen
         return s + ";\nEND LOOP;\nSELECT * FROM f4out";
     }
 
+    /**
+     * The Figure-4 join itself: a ReadExplode of the loop row joined with
+     * a LIMIT window of a stored table, offset from the row and count
+     * @n, SET inside the body (before the join or after the INSERT, when
+     * each row sees the count the row before left). The tables' key
+     * columns are sorted and sparse (pos), unsorted and repeated (a, k),
+     * sparse (b) and NULL in places (qual). Offsets run negative (fatal),
+     * inside and past the table's end; counts include 0 and negative
+     * ones (fatal). Some bodies aggregate the explode without a join.
+     */
+    std::string
+    figure4Window()
+    {
+        static const char *const kOffsets[] = {
+            "(Row.POS - @x)", "(Row.POS - @x) * 2", "Row.k"};
+        static const char *const kCounts[] = {
+            "0", "3", "Row.k", "Row.k * 9", "40", "Row.POS - @x"};
+        static const char *const kBases[] = {"BP", "QUAL", "CYCLE", "POS"};
+        static const char *const kJoin[] = {"INNER JOIN", "LEFT JOIN"};
+        static const char *const kAggs[] = {
+            "SUM(#j.x == #j.y)",
+            "SUM(#j.x == #j.y), COUNT(*)",
+            "COUNT(#j.x - #j.y), MIN(#j.x - #j.y), MAX(#j.x + #j.y)",
+            "SUM(#j.y), COUNT(#j.y), COUNT(*)",
+        };
+        const std::string set = std::string("  SET @n = ") +
+            pick(kCounts) + ";\n";
+        const bool set_last = rng_.below(3u) == 0;
+        std::string s = "DECLARE @n int;\nSET @n = 5;\nSET @x = " +
+            std::to_string(static_cast<int64_t>(rng_.below(17)) - 8) +
+            ";\nFOR Row IN aln:\n" + (set_last ? "" : set) +
+            "  CREATE TABLE #r AS ReadExplode (Row.POS, Row.CIGAR, "
+            "Row.SEQ, Row.QUAL) FROM Row;\n";
+        if (rng_.below(5u) == 0) {
+            s += std::string("  INSERT INTO f4win SELECT COUNT(*), SUM(#r.") +
+                pick(kBases) + "), MIN(#r." + pick(kBases) + ") FROM #r;\n";
+        } else {
+            const std::string stored = table();
+            const bool alias = rng_.below(2u) == 0;
+            const std::string w = alias ? "w" : stored;
+            s += std::string("  CREATE TABLE #j AS SELECT #r.") +
+                pick(kBases) + " AS x, " + w + "." + column() +
+                " AS y FROM #r " + pick(kJoin) + " (SELECT * FROM " +
+                stored + " LIMIT " + pick(kOffsets) + ", @n)" +
+                (alias ? " w" : "") + " ON #r.POS = " + w + "." +
+                column() + ";\n  INSERT INTO f4win SELECT " + pick(kAggs) +
+                " FROM #j;\n";
+        }
+        return s + (set_last ? set : "") +
+            "END LOOP;\nSELECT * FROM f4win";
+    }
+
     std::string
     statement()
     {
-        switch (rng_.below(10u)) {
+        switch (rng_.below(11u)) {
           case 0:
             return "DECLARE @x int";
           case 1:
@@ -249,6 +308,8 @@ class QueryGen
             return windowProbe();
           case 8:
             return figure4Loop();
+          case 9:
+            return figure4Window();
           default:
             return selectStmt();
         }
@@ -495,7 +556,12 @@ makeFuzzCatalog()
 /** Outcome of executing a script end to end. */
 struct ExecOutcome {
     bool fatal = false;
+    std::string error; ///< the FatalError text when fatal
     std::optional<table::Table> result;
+    /** The Figure-4 loop's output table (f4win or f4out) as the script
+     *  left it, also after an error. */
+    std::optional<table::Table> loopOutput;
+    uint64_t setLoops = 0; ///< FOR loops run set-at-a-time
 };
 
 ExecOutcome
@@ -508,18 +574,28 @@ runScriptWith(const std::string &text, engine::ExecConfig cfg)
     ExecOutcome out;
     try {
         out.result = exec.run(text);
-    } catch (const FatalError &) {
+    } catch (const FatalError &e) {
         out.fatal = true;
+        out.error = e.what();
     }
+    for (const char *name : {"f4win", "f4out"}) {
+        if (const table::Table *t = cat.find(name)) {
+            out.loopOutput = *t;
+            break;
+        }
+    }
+    out.setLoops = exec.setAtATimeLoops();
     return out;
 }
 
 /**
  * Execution parity under the optimizer: every generated script is run
  * naively (optimizer and vectorization off) and then with each rewrite
- * rule individually disabled — the outcome class (result vs. fatal) and
- * the final result table must match bit for bit, so a misbehaving rule
- * is named by the failing assertion.
+ * rule individually disabled — the outcome (result, or the FatalError's
+ * text) and the final result table must match bit for bit, so a
+ * misbehaving rule is named by the failing assertion. The vectorized
+ * runs take the set-at-a-time FOR loop wherever its body allows, and
+ * enough generated bodies must have run that way.
  */
 TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
 {
@@ -532,6 +608,8 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     int fig4_explodes = 0; // runnable Figure-4 bodies of each kind
     int fig4_windows = 0;
     int read_explodes = 0; // runnable scripts with a top-level explode
+    int fig4_window_runs = 0; // runnable windowed Figure-4 joins
+    uint64_t set_loops = 0;   // loops the default config ran set-wise
     for (int trial = 0; trial < 60; ++trial) {
         std::string text = gen.script();
         engine::ExecConfig naive_cfg;
@@ -550,6 +628,8 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
             text.find("ReadExplode (aln.") != std::string::npos) {
             ++read_explodes;
         }
+        if (!naive.fatal && text.find("INTO f4win") != std::string::npos)
+            ++fig4_window_runs;
 
         for (uint32_t rule : kRules) {
             engine::ExecConfig cfg;
@@ -559,6 +639,9 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
             ExecOutcome got = runScriptWith(text, cfg);
             ASSERT_EQ(naive.fatal, got.fatal)
                 << "outcome class diverged with rule '" << ruleName(rule)
+                << "' disabled on:\n" << text;
+            ASSERT_EQ(naive.error, got.error)
+                << "error diverged with rule '" << ruleName(rule)
                 << "' disabled on:\n" << text;
             if (naive.fatal)
                 continue;
@@ -575,6 +658,8 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
         // And the full default configuration (all rules, vectorized).
         ExecOutcome full = runScriptWith(text, engine::ExecConfig{});
         ASSERT_EQ(naive.fatal, full.fatal) << text;
+        ASSERT_EQ(naive.error, full.error) << text;
+        set_loops += full.setLoops;
         if (!naive.fatal && naive.result) {
             ASSERT_TRUE(full.result.has_value()) << text;
             EXPECT_TRUE(naive.result->contentEquals(*full.result))
@@ -587,6 +672,51 @@ TEST(SqlFuzz, RuleMaskedExecutionMatchesNaive)
     EXPECT_GT(fig4_explodes, 0);
     EXPECT_GT(fig4_windows, 0);
     EXPECT_GT(read_explodes, 0);
+    EXPECT_GT(fig4_window_runs, 0);
+    EXPECT_GE(set_loops, 4u);
+}
+
+/**
+ * The set-at-a-time FOR loop against the row engine's loop, on generated
+ * Figure-4-shaped bodies alone: results, error texts and the Output rows
+ * appended before an error must match with the optimizer on and off, and
+ * most runnable bodies must have run set-at-a-time.
+ */
+TEST(SqlFuzz, SetAtATimeLoopsMatchTheRowLoop)
+{
+    QueryGen gen(8128);
+    int runnable = 0;
+    uint64_t set_loops = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::string text = gen.loopScript();
+        engine::ExecConfig naive_cfg;
+        naive_cfg.optimize = false;
+        naive_cfg.vectorize = false;
+        ExecOutcome naive = runScriptWith(text, naive_cfg);
+        runnable += !naive.fatal;
+        for (bool optimize : {false, true}) {
+            engine::ExecConfig cfg;
+            cfg.optimize = optimize;
+            ExecOutcome got = runScriptWith(text, cfg);
+            ASSERT_EQ(naive.error, got.error) << text;
+            ASSERT_EQ(naive.result.has_value(), got.result.has_value())
+                << text;
+            if (naive.result) {
+                EXPECT_TRUE(naive.result->contentEquals(*got.result))
+                    << text << naive.result->str() << got.result->str();
+            }
+            ASSERT_EQ(naive.loopOutput.has_value(),
+                      got.loopOutput.has_value()) << text;
+            if (naive.loopOutput) {
+                EXPECT_TRUE(naive.loopOutput->contentEquals(*got.loopOutput))
+                    << text << naive.loopOutput->str()
+                    << got.loopOutput->str();
+            }
+            set_loops += got.setLoops;
+        }
+    }
+    EXPECT_GT(runnable, 100);
+    EXPECT_GT(set_loops, static_cast<uint64_t>(runnable));
 }
 
 } // namespace
