@@ -1,6 +1,7 @@
 #include "engine/batch.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/logging.h"
 
@@ -166,6 +167,42 @@ clampWindow(size_t first, size_t count, size_t rows)
     w.first = std::min(first, rows);
     w.end = w.first + std::min(count, rows - w.first);
     return w;
+}
+
+IntKeyIndex::IntKeyIndex(const ColumnChunk &keys)
+{
+    // Key -> group, then every group's rows in one array in row order (a
+    // counting sort).
+    const size_t n = keys.size();
+    groupOf_.reserve(n);
+    std::vector<size_t> group(n);
+    for (size_t r = 0; r < n; ++r) {
+        if (keys.nullAt(r))
+            continue;
+        auto [it, inserted] = groupOf_.try_emplace(keys.ints[r], start_.size());
+        if (inserted)
+            start_.push_back(0);
+        group[r] = it->second;
+        ++start_[it->second];
+    }
+    size_t total = 0;
+    for (size_t &s : start_)
+        total += std::exchange(s, total);
+    start_.push_back(total);
+    rows_.resize(total);
+    std::vector<size_t> fill(start_.begin(), start_.end() - 1);
+    for (size_t r = 0; r < n; ++r) {
+        if (!keys.nullAt(r))
+            rows_[fill[group[r]]++] = r;
+    }
+}
+
+std::span<const size_t>
+IntKeyIndex::rowsOf(int64_t key, RowWindow w) const
+{
+    const std::span<const size_t> rows = rowsOf(key);
+    const auto first = std::lower_bound(rows.begin(), rows.end(), w.first);
+    return {first, std::lower_bound(first, rows.end(), w.end)};
 }
 
 Batch

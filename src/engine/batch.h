@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sys/types.h>
+#include <unordered_map>
 #include <vector>
 
 #include "table/table.h"
@@ -85,6 +87,36 @@ struct ColumnChunk {
                       const std::vector<ssize_t> &idx);
     /** Append a whole chunk (same mode). */
     void appendChunk(const ColumnChunk &src);
+};
+
+/**
+ * The rows of an integer key column grouped by key: every row with a
+ * non-NULL key, each key's rows ascending, so probing it left row by
+ * left row emits matches in the row engine's join order.
+ */
+class IntKeyIndex
+{
+  public:
+    explicit IntKeyIndex(const ColumnChunk &keys);
+
+    /** The rows holding `key`, ascending; empty when none does. */
+    std::span<const size_t>
+    rowsOf(int64_t key) const
+    {
+        auto it = groupOf_.find(key);
+        if (it == groupOf_.end())
+            return {};
+        return std::span<const size_t>(rows_).subspan(
+            start_[it->second], start_[it->second + 1] - start_[it->second]);
+    }
+    /** The rows holding `key` that lie in `w`, ascending. */
+    std::span<const size_t> rowsOf(int64_t key, RowWindow w) const;
+
+  private:
+    std::unordered_map<int64_t, size_t> groupOf_;
+    /** Group g's rows are rows_[start_[g], start_[g + 1]). */
+    std::vector<size_t> start_;
+    std::vector<size_t> rows_;
 };
 
 /** A columnar row set flowing between vectorized operators. */

@@ -18,15 +18,14 @@
  *
  * Only the SETs, the explode and W's LIMIT read the row or a variable,
  * so they run per row, in body order, with the row bound as the loop
- * binds it. The rest runs once over every row's explode: one key index
+ * binds it. The rest runs once over every row's explode: one key lookup
  * over the stored table, each match kept when its row lies in that loop
  * row's window, and one aggregate row per loop row. Name resolution goes
  * through the fused plan's inlined temps (Executor::aliasesOf), and each
- * inlined temp is materialized as the loop stores it, so every column,
- * row order, NULL and checked sum is the loop's.
+ * inlined temp holds the cells the loop's stored temp holds, so every
+ * column, row order, NULL and checked sum is the loop's.
  */
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -193,130 +192,21 @@ matchLoop(const sql::Statement &loop, const VariableEnv &env)
 }
 
 /**
- * A stored table's rows by integer join key: every row with a non-NULL
- * key, grouped by key, each group in ascending row order. Three layouts,
- * one lookup: keys that are the row numbers plus a constant (the Figure-4
- * reference's positions) need no arrays; keys spanning at most a few
- * times the row count find their group in a direct offset table; others
- * by binary search over the groups in key order.
+ * keys[0] when `keys` hold keys[0], keys[0] + 1, ... in row order with no
+ * NULL (the Figure-4 reference's positions), else nullopt. Key k is then
+ * row k - keys[0] when that is below the row count, in the modulo-2^64
+ * arithmetic the check uses, so the join needs no index.
  */
-class KeyIndex
+std::optional<uint64_t>
+rowOrderBase(const ColumnChunk &keys)
 {
-  public:
-    explicit KeyIndex(const ColumnChunk &keys)
-    {
-        const size_t n = keys.ints.size();
-        size_t count = 0;
-        bool in_row_order = keys.nulls.empty();
-        for (size_t r = 0; r < n; ++r) {
-            if (keys.nullAt(r))
-                continue;
-            const int64_t k = keys.ints[r];
-            lo_ = count == 0 ? k : std::min(lo_, k);
-            hi_ = count == 0 ? k : std::max(hi_, k);
-            ++count;
-            in_row_order = in_row_order && offset(k) == r;
-        }
-        if (count == 0 || in_row_order)
-            return;
-        rows_.reserve(count);
-        const uint64_t span = offset(hi_);
-        if (span <= 4 * count + 1024) {
-            // Counting sort by key, rows ascending within a key: count into
-            // start_[g + 1], sum, place through start_[g] as a cursor (which
-            // leaves it at start_[g + 1]), then shift back.
-            start_.assign(span + 2, 0);
-            for (size_t r = 0; r < n; ++r) {
-                if (!keys.nullAt(r))
-                    ++start_[offset(keys.ints[r]) + 1];
-            }
-            for (size_t g = 1; g < start_.size(); ++g)
-                start_[g] += start_[g - 1];
-            rows_.resize(count);
-            for (size_t r = 0; r < n; ++r) {
-                if (!keys.nullAt(r))
-                    rows_[start_[offset(keys.ints[r])]++] = r;
-            }
-            for (size_t g = start_.size() - 1; g > 0; --g)
-                start_[g] = start_[g - 1];
-            start_[0] = 0;
-            return;
-        }
-        for (size_t r = 0; r < n; ++r) {
-            if (!keys.nullAt(r))
-                rows_.push_back(r);
-        }
-        std::sort(rows_.begin(), rows_.end(), [&](size_t a, size_t b) {
-            return keys.ints[a] != keys.ints[b] ? keys.ints[a] < keys.ints[b]
-                                                : a < b;
-        });
-        keys_.reserve(rows_.size());
-        for (size_t r : rows_)
-            keys_.push_back(keys.ints[r]);
+    const uint64_t base =
+        keys.ints.empty() ? 0 : static_cast<uint64_t>(keys.ints[0]);
+    for (size_t r = 0; r < keys.ints.size(); ++r) {
+        if (keys.nullAt(r) || static_cast<uint64_t>(keys.ints[r]) - base != r)
+            return std::nullopt;
     }
-
-    /** Call fn(row) for the rows of `key`'s group in `w`, ascending. */
-    template <typename Fn>
-    void
-    forEachRowIn(int64_t key, RowWindow w, Fn &&fn) const
-    {
-        if (key < lo_ || key > hi_)
-            return;
-        if (rows_.empty()) { // row r holds key lo_ + r (or no key at all)
-            const uint64_t r = offset(key);
-            if (r >= w.first && r < w.end)
-                fn(static_cast<size_t>(r));
-            return;
-        }
-        const size_t *first = rows_.data();
-        const size_t *last = first;
-        if (!start_.empty()) {
-            const uint64_t g = offset(key);
-            last += start_[g + 1];
-            first += start_[g];
-        } else {
-            auto [b, e] = std::equal_range(keys_.begin(), keys_.end(), key);
-            first += b - keys_.begin();
-            last += e - keys_.begin();
-        }
-        for (first = std::lower_bound(first, last, w.first);
-             first != last && *first < w.end; ++first) {
-            fn(*first);
-        }
-    }
-
-  private:
-    /** key - lo_ without signed overflow (key >= lo_). */
-    uint64_t
-    offset(int64_t key) const
-    {
-        return static_cast<uint64_t>(key) - static_cast<uint64_t>(lo_);
-    }
-
-    /** No non-NULL key: lo_ > hi_, so every lookup misses. */
-    int64_t lo_ = 1;
-    int64_t hi_ = 0;
-    std::vector<size_t> rows_;
-    std::vector<size_t> start_; ///< dense: group g at [start_[g], start_[g+1])
-    std::vector<int64_t> keys_; ///< sparse: the key of each of rows_
-};
-
-/**
- * Whether storing `b` as a temp table and scanning it back gives the same
- * cells: every column an int chunk under a scalar field, which becomes its
- * column whole and converts back unchanged.
- */
-bool
-storesUnchanged(const Batch &b)
-{
-    for (size_t c = 0; c < b.columns.size(); ++c) {
-        const DataType t = b.schema.field(c).type;
-        if (!b.columns[c].intMode || table::isArrayType(t) ||
-            t == DataType::String) {
-            return false;
-        }
-    }
-    return true;
+    return base;
 }
 
 } // namespace
@@ -380,8 +270,10 @@ VecExecutor::runLoopShape(const sql::Statement &loop, const LoopShape &shape,
         }
     }
 
-    // Once over every row. A temp goes through a table as the loop stores
-    // it, unless that would change nothing (the explode always).
+    // Once over every row, each inlined temp above the explode stored and
+    // read back as the loop stores it. The explode's own temp skips that:
+    // readExplodeInto() fills int chunks under Int64 fields, which a table
+    // stores and returns unchanged.
     for (const PlanNode *node : shape.chain) {
         if (node->kind == PlanKind::Project) {
             batch = project(*node, batch);
@@ -392,8 +284,10 @@ VecExecutor::runLoopShape(const sql::Statement &loop, const LoopShape &shape,
                 return std::nullopt;
             batch = std::move(*joined);
         }
-        if (!node->inlinedTemp.empty() && !storesUnchanged(batch))
-            batch = Batch::fromTable(std::move(batch).toTable(node->inlinedTemp));
+        if (!node->inlinedTemp.empty()) {
+            batch =
+                Batch::fromTable(std::move(batch).toTable(node->inlinedTemp));
+        }
     }
     return aggregateRows(*shape.fused, batch, ends);
 }
@@ -419,7 +313,13 @@ VecExecutor::joinWindows(const PlanNode &join, const Batch &left,
         return std::nullopt;
     }
     const ColumnChunk &lkeys = left.columns[static_cast<size_t>(lcol)];
-    const KeyIndex index(right.columns[static_cast<size_t>(rcol)]);
+    const ColumnChunk &rkeys = right.columns[static_cast<size_t>(rcol)];
+    // Keys in row order find their row by subtraction; others go through
+    // the index evalJoin() uses.
+    const std::optional<uint64_t> base = rowOrderBase(rkeys);
+    std::optional<IntKeyIndex> index;
+    if (!base)
+        index.emplace(rkeys);
 
     // The loop's emission order: each loop row's left rows in order, each
     // one's matches ascending, an unmatched row NULL-padded in a LEFT join.
@@ -433,11 +333,17 @@ VecExecutor::joinWindows(const PlanNode &join, const Batch &left,
             windows.empty() ? RowWindow{0, right.rows} : windows[row];
         for (; l < ends[row]; ++l) {
             const size_t before = lidx.size();
-            if (!lkeys.nullAt(l)) {
-                index.forEachRowIn(lkeys.ints[l], w, [&](size_t r) {
-                    lidx.push_back(static_cast<ssize_t>(l));
-                    ridx.push_back(static_cast<ssize_t>(r));
-                });
+            auto emit = [&](size_t r) {
+                lidx.push_back(static_cast<ssize_t>(l));
+                ridx.push_back(static_cast<ssize_t>(r));
+            };
+            if (!lkeys.nullAt(l) && base) {
+                const uint64_t r = static_cast<uint64_t>(lkeys.ints[l]) - *base;
+                if (r >= w.first && r < w.end)
+                    emit(r);
+            } else if (!lkeys.nullAt(l)) {
+                for (size_t r : index->rowsOf(lkeys.ints[l], w))
+                    emit(r);
             }
             if (lidx.size() == before &&
                 join.joinType == sql::JoinType::Left) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "base/logging.h"
@@ -453,41 +452,8 @@ VecExecutor::evalJoin(const PlanNode &plan)
     };
 
     if (lkeys.intMode && rkeys.intMode) {
-        // Key -> group, then every group's right rows in one array in
-        // right-row order (a counting sort), group g at [start[g],
-        // start[g + 1]).
-        std::unordered_map<int64_t, size_t> group_of;
-        group_of.reserve(right.rows);
-        std::vector<size_t> group(right.rows);
-        std::vector<size_t> start;
-        for (size_t r = 0; r < right.rows; ++r) {
-            if (rkeys.nullAt(r))
-                continue;
-            auto [it, inserted] =
-                group_of.try_emplace(rkeys.ints[r], start.size());
-            if (inserted)
-                start.push_back(0);
-            group[r] = it->second;
-            ++start[it->second];
-        }
-        size_t total = 0;
-        for (size_t &s : start)
-            total += std::exchange(s, total);
-        start.push_back(total);
-        std::vector<size_t> rows(total);
-        std::vector<size_t> fill(start.begin(), start.end() - 1);
-        for (size_t r = 0; r < right.rows; ++r) {
-            if (!rkeys.nullAt(r))
-                rows[fill[group[r]]++] = r;
-        }
-        probe_all([&](size_t l) -> std::span<const size_t> {
-            auto it = group_of.find(lkeys.ints[l]);
-            if (it == group_of.end())
-                return {};
-            return std::span<const size_t>(rows).subspan(
-                start[it->second],
-                start[it->second + 1] - start[it->second]);
-        });
+        const IntKeyIndex index(rkeys);
+        probe_all([&](size_t l) { return index.rowsOf(lkeys.ints[l]); });
     } else {
         std::map<Value, std::vector<size_t>> index;
         for (size_t r = 0; r < right.rows; ++r) {

@@ -482,8 +482,8 @@ TEST_F(EngineEdge, SetLoopRowsWithEmptyAndClampedWindows)
 
 TEST_F(EngineEdge, SetLoopJoinsWidelySpreadKeys)
 {
-    // Keys too spread out for an offset table (the int64 extremes, 10^12,
-    // repeats out of order, a NULL) go through the sorted-array index;
+    // Keys out of row order (the int64 extremes, 10^12, repeats out of
+    // order, a NULL) go through the key index evalJoin() also uses;
     // windows still apply by row index.
     addFigure4Tables();
     Table wide("wide", Schema{{"POS", DataType::Int64},
@@ -509,6 +509,40 @@ TEST_F(EngineEdge, SetLoopJoinsWidelySpreadKeys)
     EXPECT_EQ(run.setLoops, 1u);
     ASSERT_TRUE(run.output.has_value());
     EXPECT_EQ(run.output->at(0, 1).asInt(), 6);
+}
+
+TEST_F(EngineEdge, SetLoopWindowsKeysInRowOrder)
+{
+    // Keys equal to the row number plus a constant (the reference's
+    // positions) find their row without an index, and windows still cut
+    // by row index: POS 9..17, so a read at p with @n = 2 keeps the
+    // bases at p and p + 1.
+    addFigure4Tables();
+    Table seq("seq", Schema{{"POS", DataType::Int64},
+                            {"SEQ", DataType::Int64}});
+    for (int64_t pos = 9; pos < 18; ++pos)
+        seq.appendRow({Value(pos), Value(pos % 4)});
+    catalog_.put("seq", std::move(seq));
+    LoopRun run = sameInBothEngines(figure4Loop(
+        "rd", "  SET @n = 2;\n",
+        "(SELECT * FROM seq LIMIT (r.POS - 9), @n) ref", kAggs));
+    EXPECT_EQ(run.setLoops, 1u);
+    ASSERT_TRUE(run.output.has_value());
+    ASSERT_EQ(run.output->numRows(), 4u);
+    for (size_t row : {0, 1, 3})
+        EXPECT_EQ(run.output->at(row, 1).asInt(), 2) << row;
+    EXPECT_EQ(run.output->at(2, 1).asInt(), 0);
+
+    // Keys that run in row order only modulo 2^64 match no base.
+    Table wrap("wrap", Schema{{"POS", DataType::Int64},
+                              {"SEQ", DataType::Int64}});
+    for (int64_t pos : {INT64_MAX - 1, INT64_MAX, INT64_MIN, INT64_MIN + 1})
+        wrap.appendRow({Value(pos), Value(int64_t{0})});
+    catalog_.put("wrap", std::move(wrap));
+    run = sameInBothEngines(figure4Loop("rd", "", "wrap ref", kAggs));
+    EXPECT_EQ(run.setLoops, 1u);
+    ASSERT_TRUE(run.output.has_value());
+    EXPECT_EQ(run.output->at(0, 1).asInt(), 0);
 }
 
 TEST_F(EngineEdge, SetLoopStaysOnTheLoopWhenTheBodyReadsItsTarget)
